@@ -15,7 +15,11 @@ SetAssocCache::SetAssocCache(std::uint64_t size_bytes, std::uint32_t ways)
     while (static_cast<std::uint64_t>(pow2) * 2 <= sets)
         pow2 *= 2;
     numSets_ = pow2;
-    ways2d_.assign(static_cast<std::size_t>(numSets_) * ways_, Way{});
+    const std::size_t n = static_cast<std::size_t>(numSets_) * ways_;
+    tags_.assign(n, kInvalidTag);
+    stamps_.assign(n, 0);
+    values_.assign(n, 0);
+    dirty_.assign(n, 0);
 }
 
 std::uint32_t
@@ -29,40 +33,43 @@ SetAssocCache::setOf(Addr line_addr) const
     return static_cast<std::uint32_t>(x & (numSets_ - 1));
 }
 
+std::uint32_t
+SetAssocCache::findWay(std::size_t base, Addr tag) const
+{
+    const Addr *set = tags_.data() + base;
+    std::uint32_t w = 0;
+    while (w < ways_ && set[w] != tag)
+        ++w;
+    return w;
+}
+
 bool
 SetAssocCache::access(Addr line_addr, bool is_write, LineValue write_value,
                       LineValue *read_out)
 {
-    const Addr tag = line_addr / kCachelineBytes;
-    Way *set = &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            set[w].lru = ++lruClock_;
-            if (is_write) {
-                set[w].dirty = true;
-                set[w].value = write_value;
-            } else if (read_out != nullptr) {
-                *read_out = set[w].value;
-            }
-            hits_++;
-            return true;
-        }
+    const std::size_t base = setBase(line_addr);
+    const std::uint32_t w = findWay(base, line_addr / kCachelineBytes);
+    if (w == ways_) {
+        misses_++;
+        return false;
     }
-    misses_++;
-    return false;
+    const std::size_t i = base + w;
+    stamps_[i] = ++lruClock_;
+    if (is_write) {
+        dirty_[i] = 1;
+        values_[i] = write_value;
+    } else if (read_out != nullptr) {
+        *read_out = values_[i];
+    }
+    hits_++;
+    return true;
 }
 
 bool
 SetAssocCache::probe(Addr line_addr) const
 {
-    const Addr tag = line_addr / kCachelineBytes;
-    const Way *set =
-        &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return true;
-    }
-    return false;
+    return findWay(setBase(line_addr), line_addr / kCachelineBytes)
+           != ways_;
 }
 
 CacheResult
@@ -70,64 +77,67 @@ SetAssocCache::fill(Addr line_addr, bool dirty, LineValue value)
 {
     CacheResult res;
     const Addr tag = line_addr / kCachelineBytes;
-    Way *set = &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
+    const std::size_t base = setBase(line_addr);
+    const Addr *set_tags = tags_.data() + base;
+    const std::uint64_t *set_stamps = stamps_.data() + base;
+    // One pass finds a hit or the victim: the first way with the
+    // smallest stamp, i.e. the first invalid way, else true LRU.
+    std::uint32_t victim = 0;
+    std::uint64_t victim_stamp = set_stamps[0];
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
+        if (set_tags[w] == tag) {
             // Already present (e.g., racing fills after coalescing).
-            set[w].lru = ++lruClock_;
+            const std::size_t i = base + w;
+            stamps_[i] = ++lruClock_;
             if (dirty) {
-                set[w].dirty = true;
-                set[w].value = value;
+                dirty_[i] = 1;
+                values_[i] = value;
             }
             res.hit = true;
             return res;
         }
-    }
-    // Prefer an invalid way; otherwise evict true-LRU.
-    Way *victim = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
+        if (set_stamps[w] < victim_stamp) {
+            victim = w;
+            victim_stamp = set_stamps[w];
         }
-        if (victim == nullptr || set[w].lru < victim->lru)
-            victim = &set[w];
     }
-    if (victim->valid && victim->dirty) {
+    const std::size_t i = base + victim;
+    if (dirty_[i] != 0) {
         res.writeback = true;
-        res.victimAddr = victim->tag * kCachelineBytes;
-        res.victimValue = victim->value;
+        res.victimAddr = tags_[i] * kCachelineBytes;
+        res.victimValue = values_[i];
         writebacks_++;
     }
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->lru = ++lruClock_;
-    victim->value = value;
+    tags_[i] = tag;
+    dirty_[i] = dirty ? 1 : 0;
+    stamps_[i] = ++lruClock_;
+    values_[i] = value;
     return res;
 }
 
 bool
 SetAssocCache::invalidate(Addr line_addr, bool *was_dirty)
 {
-    const Addr tag = line_addr / kCachelineBytes;
-    Way *set = &ways2d_[static_cast<std::size_t>(setOf(line_addr)) * ways_];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == tag) {
-            if (was_dirty != nullptr)
-                *was_dirty = set[w].dirty;
-            set[w].valid = false;
-            set[w].dirty = false;
-            return true;
-        }
-    }
-    return false;
+    const std::size_t base = setBase(line_addr);
+    const std::uint32_t w = findWay(base, line_addr / kCachelineBytes);
+    if (w == ways_)
+        return false;
+    const std::size_t i = base + w;
+    if (was_dirty != nullptr)
+        *was_dirty = dirty_[i] != 0;
+    tags_[i] = kInvalidTag;
+    stamps_[i] = 0;
+    dirty_[i] = 0;
+    return true;
 }
 
 void
 SetAssocCache::clear()
 {
-    std::fill(ways2d_.begin(), ways2d_.end(), Way{});
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    std::fill(values_.begin(), values_.end(), 0);
+    std::fill(dirty_.begin(), dirty_.end(), 0);
     lruClock_ = 0;
 }
 

@@ -2,12 +2,14 @@
  * @file
  * Functional set-associative write-back cache with true-LRU replacement,
  * used for the per-core L1D/L2 and the shared L3 (Table II). Timing is
- * applied by the core model; this class only tracks tags and dirty bits.
+ * applied by the core model; this class only tracks tags, dirty bits
+ * and the functional line values.
  */
 
 #ifndef SKYBYTE_CPU_CACHE_H
 #define SKYBYTE_CPU_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -79,20 +81,33 @@ class SetAssocCache
     void clear();
 
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0;
-        LineValue value = 0;
-    };
+    /** Tag of an invalid way; no line address maps to it (a tag is the
+     *  line address / 64, so its top six bits are always clear). */
+    static constexpr Addr kInvalidTag = ~Addr{0};
 
     std::uint32_t setOf(Addr line_addr) const;
+    /** First array index of @p line_addr's set. */
+    std::size_t
+    setBase(Addr line_addr) const
+    {
+        return static_cast<std::size_t>(setOf(line_addr)) * ways_;
+    }
+    /** Way of @p tag in the set at @p base, or ways_ if absent. */
+    std::uint32_t findWay(std::size_t base, Addr tag) const;
 
     std::uint32_t numSets_;
     std::uint32_t ways_;
-    std::vector<Way> ways2d_; // numSets_ x ways_, row-major
+    // Struct-of-arrays, numSets_ x ways_ row-major each: a lookup scans
+    // only the tags (8 B a way), the other arrays are touched on a hit
+    // or a fill. Invariant: a way is invalid iff its tag is
+    // kInvalidTag, and an invalid way is clean and has stamp 0 while
+    // every valid way has a stamp >= 1, so the min-stamp victim scan
+    // picks the first invalid way if there is one and true LRU
+    // otherwise.
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> stamps_;
+    std::vector<LineValue> values_;
+    std::vector<unsigned char> dirty_;
     std::uint64_t lruClock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

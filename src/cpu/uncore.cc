@@ -5,8 +5,28 @@
 namespace skybyte {
 
 Uncore::Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend)
-    : eq_(eq), backend_(backend), l3_(cfg.llc), mshrs_(cfg.llc.mshrs)
+    : eq_(eq), backend_(backend), l3_(cfg.llc),
+      mshrCapacity_(cfg.llc.mshrs)
 {}
+
+Uncore::~Uncore()
+{
+    // Drop the links' references of lines still in flight.
+    inFlight_.forEach([this](Addr, WaiterChain &chain) {
+        for (MissStatus *node = chain.head; node != nullptr;) {
+            MissStatus *next = node->next;
+            MissRef(node, &missSlab_).reset();
+            node = next;
+        }
+    });
+}
+
+void
+Uncore::enqueue(WaiterChain &chain, const MissRef &status)
+{
+    ++status->refs;
+    chain.append(&*status);
+}
 
 UncoreLoadResult
 Uncore::load(const MissRef &status, Tick when)
@@ -17,16 +37,15 @@ Uncore::load(const MissRef &status, Tick when)
 
     llcMisses_++;
     if (auto *waiters = inFlight_.find(line)) {
-        waiters->push_back(status);
+        enqueue(*waiters, status);
         llcCoalesced_++;
         return UncoreLoadResult::Pending;
     }
-    if (mshrs_.full()) {
+    if (inFlight_.size() >= mshrCapacity_) {
         llcMshrBlocks_++;
         return UncoreLoadResult::MshrBlocked;
     }
-    mshrs_.allocate(line);
-    inFlight_[line].push_back(status);
+    enqueue(inFlight_[line], status);
 
     MemRequest req;
     req.lineAddr = line;
@@ -54,22 +73,17 @@ Uncore::writebackToL3(Addr line_addr, LineValue value, Tick when)
 void
 Uncore::onResponse(Addr line_addr, const MemResponse &resp)
 {
-    // Detach the waiter list before completing anyone: a completion
+    // Detach the waiter chain before completing anyone: a completion
     // callback may re-enter load() and mutate the table.
-    std::vector<MissRef> waiters;
+    WaiterChain waiters;
     if (auto *entry = inFlight_.find(line_addr)) {
-        waiters = std::move(*entry);
+        waiters = *entry;
         inFlight_.erase(line_addr);
     }
-    mshrs_.release(line_addr);
     const Tick now = eq_.now();
 
-    if (waiters.empty()) {
-        wakeBlockedCores();
-        return;
-    }
-
-    if (resp.kind == MemResponseKind::Data) {
+    const bool data = resp.kind == MemResponseKind::Data;
+    if (data && !waiters.empty()) {
         CacheResult res = l3_.fill(line_addr, false, resp.value);
         if (res.writeback) {
             MemRequest wb;
@@ -78,31 +92,34 @@ Uncore::onResponse(Addr line_addr, const MemResponse &resp)
             wb.value = res.victimValue;
             backend_.write(wb, now);
         }
-        for (auto &st : waiters) {
-            st->value = resp.value;
-            offchip_.record(now - st->issuedAt);
-            if (!tenantOffchip_.empty()) {
-                const int t = tenantOf_(st->lineAddr);
-                if (t >= 0
-                    && static_cast<std::size_t>(t)
-                           < tenantOffchip_.size()) {
-                    tenantOffchip_[static_cast<std::size_t>(t)].record(
-                        now - st->issuedAt);
-                }
-            }
-            if (st->owner != nullptr) {
-                st->owner->onMissData(st, now);
-            } else {
-                st->done = true;
-                st->doneAt = now;
-            }
-        }
-    } else {
-        for (auto &st : waiters) {
+    }
+    for (MissStatus *node = waiters.head; node != nullptr;) {
+        // Adopt the link's reference; step past the node before its
+        // completion runs.
+        const MissRef st(node, &missSlab_);
+        node = node->next;
+        if (!data) {
             if (st->owner != nullptr)
                 st->owner->onMissHint(st, now);
             else
                 st->hinted = true;
+            continue;
+        }
+        st->value = resp.value;
+        offchip_.record(now - st->issuedAt);
+        if (!tenantOffchip_.empty()) {
+            const int t = tenantOf_(st->lineAddr);
+            if (t >= 0
+                && static_cast<std::size_t>(t) < tenantOffchip_.size()) {
+                tenantOffchip_[static_cast<std::size_t>(t)].record(
+                    now - st->issuedAt);
+            }
+        }
+        if (st->owner != nullptr) {
+            st->owner->onMissData(st, now);
+        } else {
+            st->done = true;
+            st->doneAt = now;
         }
     }
     wakeBlockedCores();

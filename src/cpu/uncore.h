@@ -43,6 +43,8 @@ struct MissStatus
     LineValue value = 0; ///< functional payload of the data response
     /** Intrusive refcount managed by MissRef (single-threaded). */
     std::uint32_t refs = 0;
+    /** Next waiter on the same in-flight line (Uncore's waiter chain). */
+    MissStatus *next = nullptr;
 };
 
 /**
@@ -133,6 +135,12 @@ class Uncore
 {
   public:
     Uncore(const CpuConfig &cfg, EventQueue &eq, MemoryBackend &backend);
+    ~Uncore();
+
+    // Backend callbacks capture this; the destructor releases the
+    // waiter chains' references.
+    Uncore(const Uncore &) = delete;
+    Uncore &operator=(const Uncore &) = delete;
 
     /**
      * Fresh slab-backed miss record for an LLC-bound load (the one
@@ -193,17 +201,23 @@ class Uncore
     }
 
   private:
+    /** Waiters on one in-flight line, in arrival order; each link
+     *  holds one reference to its record. */
+    using WaiterChain = IntrusiveFifo<MissStatus>;
+
     void onResponse(Addr line_addr, const MemResponse &resp);
     void wakeBlockedCores();
+    /** Append @p status to @p chain, taking a reference for the link. */
+    static void enqueue(WaiterChain &chain, const MissRef &status);
 
     EventQueue &eq_;
     MemoryBackend &backend_;
     SetAssocCache l3_;
-    MshrFile mshrs_;
-    /** Declared before inFlight_ so every waiter handle releases back
-     *  into the slab before the slab itself destructs. */
+    /** LLC MSHR budget: one entry per distinct line in inFlight_;
+     *  coalesced waiters take none. */
+    std::uint32_t mshrCapacity_;
     Slab<MissStatus> missSlab_;
-    FlatMap<std::vector<MissRef>> inFlight_;
+    FlatMap<WaiterChain> inFlight_;
     std::vector<Core *> cores_;
     LatencyHistogram offchip_;
     /** Per-tenant histograms (empty = disabled) + vaddr classifier. */

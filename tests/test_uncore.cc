@@ -2,11 +2,14 @@
  * @file
  * Tests for the shared uncore: L3 behaviour, LLC MSHR capacity and
  * cross-core coalescing (§III-A C1: one CXL.mem request can serve
- * instructions from several cores), DelayHint fan-out, and the off-chip
- * latency histogram that backs Figure 3.
+ * instructions from several cores), DelayHint fan-out, the waiter
+ * chain's reference handling, and the off-chip latency histogram that
+ * backs Figure 3.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/event_queue.h"
 #include "cpu/uncore.h"
@@ -113,6 +116,70 @@ TEST(Uncore, MshrCapacityBlocks)
     fx.backend.respondAll(MemResponseKind::Data);
     EXPECT_EQ(fx.uncore->load(fx.makeStatus(0x9000), 0),
               UncoreLoadResult::Pending);
+}
+
+TEST(Uncore, CoalescedWaitersTakeNoMshr)
+{
+    UncoreFixture fx; // 4 LLC MSHRs
+    std::vector<MissRef> held;
+    for (Addr a = 0; a < 4; ++a) {
+        held.push_back(fx.makeStatus(a * 0x1000));
+        EXPECT_EQ(fx.uncore->load(held.back(), 0),
+                  UncoreLoadResult::Pending);
+    }
+    // Every entry is taken, yet a load of an in-flight line coalesces.
+    for (int i = 0; i < 3; ++i) {
+        held.push_back(fx.makeStatus(0x2000));
+        EXPECT_EQ(fx.uncore->load(held.back(), 0),
+                  UncoreLoadResult::Pending);
+    }
+    EXPECT_EQ(fx.uncore->llcCoalesced(), 3u);
+    EXPECT_EQ(fx.uncore->load(fx.makeStatus(0x9000), 0),
+              UncoreLoadResult::MshrBlocked);
+    EXPECT_EQ(fx.backend.pending.size(), 4u);
+    fx.backend.respondAll(MemResponseKind::Data, 5);
+    for (const MissRef &st : held) {
+        EXPECT_TRUE(st->done);
+        EXPECT_EQ(st->value, 5u);
+    }
+}
+
+TEST(Uncore, ReloadAfterHintIssuesFreshRequest)
+{
+    UncoreFixture fx;
+    auto s1 = fx.makeStatus(0x7000);
+    EXPECT_EQ(fx.uncore->load(s1, 0), UncoreLoadResult::Pending);
+    fx.backend.respondAll(MemResponseKind::DelayHint);
+    EXPECT_TRUE(s1->hinted);
+    EXPECT_TRUE(fx.backend.pending.empty());
+    // The hint ended the transaction: the reload is a new miss with its
+    // own backend request, not a coalesce onto a stale entry.
+    auto s2 = fx.makeStatus(0x7000);
+    EXPECT_EQ(fx.uncore->load(s2, 0), UncoreLoadResult::Pending);
+    EXPECT_EQ(fx.backend.pending.size(), 1u);
+    EXPECT_EQ(fx.uncore->llcMisses(), 2u);
+    EXPECT_EQ(fx.uncore->llcCoalesced(), 0u);
+    fx.backend.respondAll(MemResponseKind::Data, 9);
+    EXPECT_TRUE(s2->done);
+    EXPECT_FALSE(s1->done);
+}
+
+TEST(Uncore, DroppedHandlesCompleteCleanly)
+{
+    UncoreFixture fx;
+    // The only references left are the waiter chain's own links.
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(fx.uncore->load(fx.makeStatus(0x8000), 0),
+                  UncoreLoadResult::Pending);
+    }
+    fx.uncore->load(fx.makeStatus(0xa000), 0);
+    fx.backend.respondAll(MemResponseKind::Data, 3);
+    EXPECT_EQ(fx.uncore->offchipLatency().count(), 4u);
+    // A dropped waiter still in flight is released when the uncore
+    // goes away (the sanitizer builds check for leaks and stale reads).
+    fx.uncore->load(fx.makeStatus(0xb000), 0);
+    fx.uncore.reset();
+    fx.backend.pending.clear();
 }
 
 TEST(Uncore, DataResponseFillsL3)
