@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/event_queue.h"
 #include "common/types.h"
 
 namespace skybyte {
@@ -137,8 +136,8 @@ std::string nandTypeName(NandType type);
 /**
  * Flash geometry. Paper default: 16 channels x 8 chips x 8 dies x 1 plane,
  * 128 blocks/plane, 256 pages/block, 4 KB pages = 128 GB. The default here
- * is a 1/64-scale geometry with identical channel structure (see DESIGN.md
- * §1); `paperScale()` restores the full geometry.
+ * is a 1/64-scale geometry with identical channel structure (see README
+ * "Scale model"); blocksPerPlane = 128 restores the full geometry.
  */
 struct FlashConfig
 {
@@ -265,29 +264,6 @@ struct HostMemConfig
 };
 
 /**
- * Event-kernel tuning (ROADMAP "Calendar-window tuning"). The defaults
- * reproduce the constants the calendar queue shipped with; both knobs
- * only change simulator wall-clock, never simulated behaviour.
- */
-struct KernelConfig
-{
-    /** Calendar near-window size in ticks; power of two >= 64. */
-    std::uint32_t calendarWindowTicks = EventQueue::kWindowTicks;
-    /** EventRecords carved per slab chunk. */
-    std::uint32_t slabChunkRecords = detail::EventSlab::kChunkRecords;
-    /**
-     * Parallel-kernel lane count (`lanes=` / SKYBYTE_SIM_LANES): host
-     * worker threads a single simulation may use. 1 (the default) is
-     * the serial kernel, byte-for-byte the pre-knob behaviour; higher
-     * values enable lane-parallel execution (common/lane_kernel.h for
-     * event lanes, sim/lane_stage.h for core-group workload staging)
-     * whose results are bit-identical to lanes=1 — the knob only
-     * changes wall-clock. Valid range [1, 64].
-     */
-    std::uint32_t lanes = 1;
-};
-
-/**
  * Per-tenant QoS controls for co-located `mix:` workloads. All knobs
  * default off, so single-tenant runs and unconfigured mixes behave —
  * and fingerprint — exactly as before. Tenant weights come from the
@@ -331,7 +307,6 @@ struct QosConfig
 struct SimConfig
 {
     std::string name = "Base-CSSD";
-    KernelConfig kernel{};
     CpuConfig cpu{};
     HostDramConfig hostDram{};
     SsdDramConfig ssdDram{};

@@ -154,8 +154,7 @@ class EventQueue
 
     /**
      * @param window_ticks near-future window size (power of two >= 64);
-     *                     the sweet spot depends on the event-stride
-     *                     distribution, hence the SimConfig knob
+     *                     event order is the same for every size
      * @param slab_chunk_records EventRecords carved per slab chunk
      */
     explicit EventQueue(

@@ -22,7 +22,10 @@ using Tick = std::uint64_t;
 /** Byte address in the simulated (virtual or device) address space. */
 using Addr = std::uint64_t;
 
-/** Monotonic functional value carried by a cacheline (see DESIGN.md §3). */
+/**
+ * Monotonic functional value carried by a cacheline; no load checks it
+ * yet (README "Scale model").
+ */
 using LineValue = std::uint64_t;
 
 /** Ticks per nanosecond (16 => integral 4 GHz cycles). */

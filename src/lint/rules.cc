@@ -130,10 +130,6 @@ nondeterminismRule()
             {"src/sim/experiment.cc", "getenv"},
             // SKYBYTE_SWEEP_SHARD / SKYBYTE_BENCH_INSTR presence test.
             {"src/sim/sweep.cc", "getenv"},
-            // SKYBYTE_SIM_LANES: lane count is result-invariant (the
-            // parallel kernel is bit-identical for every value), so
-            // this knob can only change wall-clock.
-            {"src/sim/lane_stage.cc", "getenv"},
             // SKYBYTE_BACKOFF_MS / SKYBYTE_FAULT driver knobs.
             {"src/sim/run_executor.cc", "getenv"},
             // Child wall-clock timeouts and retry backoff pacing:
@@ -258,66 +254,6 @@ hotPathAllocRule()
         std::move(banned));
 }
 
-/**
- * Rule family 5 — no mutable `static` state in lane-concurrent code.
- *
- * The multi-lane kernel (common/lane_kernel.h) and the batch-staging
- * pipeline (sim/lane_stage.h) run workload refills and lane groups on
- * concurrent host threads. A mutable function-local or namespace-scope
- * `static` in those layers is shared state that would race (or need a
- * lock the hot path cannot afford) the moment two lanes touch it —
- * and, being invisible at the call site, it is exactly the kind of
- * hidden coupling the per-tid-state audit for concurrentRefillSafe()
- * cannot see. `static const`/`static constexpr` data is immutable and
- * fine; intentionally synchronized singletons (the workload registry)
- * carry justified allow pragmas.
- *
- * Scope is the .cc files of the lane-concurrent layers: declarations
- * in headers are member functions or `static constexpr` constants,
- * while local statics — the hazard — live in function bodies.
- */
-LintRule
-laneSharedStateRule()
-{
-    LintRule rule;
-    rule.name = "lane-shared-state";
-    rule.title = "no mutable `static` locals in lane-concurrent code";
-    rule.inScope = [](const std::string &path) {
-        if (path.size() < 3
-            || path.compare(path.size() - 3, 3, ".cc") != 0) {
-            return false;
-        }
-        return underAny(path, {"src/trace/"})
-               || path == "src/sim/lane_stage.cc"
-               || path == "src/common/lane_kernel.cc";
-    };
-    rule.check = [](const SourceFile &file,
-                    std::vector<LintFinding> &out) {
-        for (std::size_t i = 0; i < file.lines.size(); ++i) {
-            const std::string &code = file.lines[i].code;
-            if (!containsIdentifier(code, "static"))
-                continue;
-            // Whole-token match: static_cast/static_assert don't trip
-            // the scan, and const/constexpr on the same line marks the
-            // object immutable.
-            if (containsIdentifier(code, "const")
-                || containsIdentifier(code, "constexpr")) {
-                continue;
-            }
-            LintFinding f;
-            f.rule = "lane-shared-state";
-            f.line = i + 1;
-            f.message =
-                "mutable 'static' in lane-concurrent code: refills and "
-                "lane groups run on concurrent host threads, so hidden "
-                "shared state races; make it const/constexpr, per-tid, "
-                "or justify the synchronization with an allow pragma";
-            out.push_back(std::move(f));
-        }
-    };
-    return rule;
-}
-
 } // namespace
 
 void
@@ -327,7 +263,6 @@ registerBuiltinLintRules()
     registerLintRuleUnlocked(unorderedContainerRule());
     registerLintRuleUnlocked(rawFileWriteRule());
     registerLintRuleUnlocked(hotPathAllocRule());
-    registerLintRuleUnlocked(laneSharedStateRule());
 }
 
 } // namespace detail

@@ -40,10 +40,11 @@ struct ExperimentOptions
 int defaultThreadsFor(const SimConfig &cfg, const ExperimentOptions &opt);
 
 /**
- * Shrink the cache hierarchy to the bench scale (DESIGN.md §1): the
- * default workload footprints are 1/64 of the paper's, so the 16 MB LLC
- * must shrink too or no writeback ever reaches the SSD at bench trace
- * lengths. Ratios footprint:LLC and footprint:SSD-DRAM are preserved.
+ * Shrink the cache hierarchy to the bench scale (README "Scale model"):
+ * the default workload footprints are 1/64 of the paper's, so the 16 MB
+ * LLC must shrink too or no writeback ever reaches the SSD at bench
+ * trace lengths. The LLC shrinks 8x, so footprint:LLC is 1/8 of the
+ * paper's ratio; footprint:SSD-DRAM is the paper's.
  */
 void applyBenchScale(SimConfig &cfg);
 

@@ -60,9 +60,6 @@ class TraceFileWorkload : public Workload
         return emitted_[tid];
     }
 
-    /** Per-tid cursor/emitted vectors; sections are read-only. */
-    bool concurrentRefillSafe() const override { return true; }
-
   private:
     std::string name_;
     std::uint64_t footprint_ = 0;

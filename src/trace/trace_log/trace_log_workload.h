@@ -63,13 +63,6 @@ class TraceLogWorkload : public Workload
         return emitted_[static_cast<std::size_t>(tid)];
     }
 
-    /**
-     * The producer hand-off is already mutex-guarded per ring, and
-     * cur_/pos_/emitted_ are strictly per-tid, so distinct tids may
-     * refill from different host threads.
-     */
-    bool concurrentRefillSafe() const override { return true; }
-
     /** Blocks the producer has decoded so far (monotonic). */
     std::uint64_t blocksDecoded() const;
 

@@ -7,7 +7,7 @@
  * applications (Table I). We do not have those traces, so each workload is
  * reproduced as a deterministic generator that emits the same *statistical*
  * shape: memory footprint, write ratio, LLC MPKI class, and the per-page
- * spatial locality that Figures 5/6 characterise (see DESIGN.md §1).
+ * spatial locality that Figures 5/6 characterise (README "Scale model").
  *
  * A trace record is "k compute instructions followed by one memory access".
  * Generators are pull-based and **batched**: the front end refills a
@@ -114,34 +114,6 @@ class Workload
 
     /** Instructions already generated for @p tid (compute + memory). */
     virtual std::uint64_t instructionsEmitted(int tid) const = 0;
-
-    /**
-     * May refill() be called for *distinct* tids from different host
-     * threads concurrently? The lane-parallel kernel (sim/lane_stage.h)
-     * prestages batches on worker threads only when this holds; the
-     * conservative default keeps unknown user workloads on the serial
-     * path. Implementations returning true must keep all cross-thread
-     * state immutable after construction (or internally synchronized)
-     * and all mutable refill state strictly per-tid.
-     */
-    virtual bool concurrentRefillSafe() const { return false; }
-};
-
-/**
- * Indirection point for where a thread's next TraceBatch comes from:
- * the serial path calls Workload::refill() at consumption time, while
- * the lane-parallel staging pipeline (sim/lane_stage.h) hands out
- * batches that were produced ahead of time on worker threads. Both
- * must yield the byte-identical record stream — staging may only move
- * *where* a batch is produced, never its contents.
- */
-class BatchSource
-{
-  public:
-    virtual ~BatchSource() = default;
-
-    /** Fill @p batch for @p tid; same contract as Workload::refill. */
-    virtual std::uint32_t nextBatch(int tid, TraceBatch &batch) = 0;
 };
 
 /**

@@ -68,13 +68,6 @@ class SyntheticWorkload : public Workload
     std::uint64_t footprintBytes() const override { return footprint_; }
     int numThreads() const override { return params_.numThreads; }
 
-    /**
-     * All mutable refill state lives in the per-tid ThreadState (RNG,
-     * cursors, instruction count); params_/footprint_ are const after
-     * construction, so distinct tids may refill concurrently.
-     */
-    bool concurrentRefillSafe() const override { return true; }
-
     std::uint64_t
     instructionsEmitted(int tid) const override
     {
@@ -763,7 +756,6 @@ paperEntry(const char *name, const char *summary, WorkloadInfo info)
 std::mutex &
 registryMutex()
 {
-    // skybyte-lint: allow(lane-shared-state) the registry lock itself
     static std::mutex m;
     return m;
 }
@@ -771,7 +763,6 @@ registryMutex()
 std::map<std::string, WorkloadRegistration> &
 registryLocked()
 {
-    // skybyte-lint: allow(lane-shared-state) guarded by registryMutex()
     static std::map<std::string, WorkloadRegistration> entries;
     return entries;
 }
@@ -949,7 +940,6 @@ registerBuiltinWorkloads()
 void
 ensureBuiltins()
 {
-    // skybyte-lint: allow(lane-shared-state) call_once is the sync
     static std::once_flag once;
     std::call_once(once, [] {
         std::lock_guard<std::mutex> lock(registryMutex());
