@@ -42,7 +42,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -54,6 +53,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/inline_function.h"
 #include "common/types.h"
 
@@ -399,7 +399,8 @@ class EventQueue
                 return nullptr;
             base_ += d;
         } else {
-            assert(!overflow_.empty());
+            SKYBYTE_CHECK(!overflow_.empty(),
+                          "calendar window empty but overflow queue too");
             if (overflow_.front()->when > limit)
                 return nullptr;
             base_ = overflow_.front()->when;

@@ -28,7 +28,6 @@
 #ifndef SKYBYTE_COMMON_FLAT_MAP_H
 #define SKYBYTE_COMMON_FLAT_MAP_H
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>

@@ -1,7 +1,8 @@
 #include "core/os.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "common/check.h"
 
 namespace skybyte {
 
@@ -24,7 +25,7 @@ CxlAwareScheduler::setCores(std::vector<Core *> cores)
 void
 CxlAwareScheduler::start(Tick now)
 {
-    assert(!cores_.empty());
+    SKYBYTE_CHECK(!cores_.empty(), "scheduler started with no cores");
     std::size_t next = 0;
     for (Core *core : cores_) {
         if (next >= threads_.size())

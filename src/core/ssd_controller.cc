@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <stdexcept>
 
+#include "common/check.h"
 #include "cxl/ndr.h"
 
 namespace skybyte {
@@ -212,8 +212,9 @@ SsdController::sendDelayHint(Tick t, MemCallback cb)
     const Tick t_host = link_.deliverToHost(t, kHeaderBytes);
     eq_.schedule(t_host, [cb = std::move(cb), flit]() mutable {
         const auto decoded = decodeNdr(flit);
-        assert(decoded
-               && decoded->opcode == CxlNdrOpcode::SkyByteDelay);
+        SKYBYTE_CHECK(decoded
+                          && decoded->opcode == CxlNdrOpcode::SkyByteDelay,
+                      "delay-hint NDR flit failed to round-trip");
         MemResponse resp;
         resp.kind = MemResponseKind::DelayHint;
         resp.tag = decoded ? decoded->tag : 0;
@@ -389,7 +390,8 @@ SsdController::handleEviction(const PageEvict &ev,
         / kLinesPerPage);
     if (ev.dirty && !logEnabled()) {
         // Base-CSSD: write the whole dirty page back to flash.
-        assert(victim_data != nullptr);
+        SKYBYTE_CHECK(victim_data != nullptr,
+                      "dirty eviction without victim data");
         stats_.dirtyEvictions++;
         stats_.writeLocality.record(
             static_cast<double>(std::popcount(ev.dirtyMask))

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
+
+#include "common/check.h"
 
 namespace skybyte {
 
@@ -30,7 +31,7 @@ LogPageTable::grow()
 void
 LogPageTable::put(std::uint32_t line_off, std::uint32_t log_off)
 {
-    assert(line_off < kLinesPerPage);
+    SKYBYTE_CHECK(line_off < kLinesPerPage, "line offset past the page");
     const std::uint32_t mask = capacity() - 1;
     std::uint32_t idx = (line_off * 0x9e37u) & mask;
     for (;;) {
@@ -227,7 +228,7 @@ WriteLog::mergePageInto(std::uint64_t lpa, PageData &data)
 WriteLogBuffer &
 WriteLog::beginCompaction()
 {
-    assert(!drainInProgress_);
+    SKYBYTE_CHECK(!drainInProgress_, "compaction already draining");
     std::swap(active_, standby_);
     drainInProgress_ = true;
     stats_.compactions++;

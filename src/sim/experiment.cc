@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <thread>
 
 namespace skybyte {
@@ -122,8 +123,11 @@ runSweep(const std::vector<SweepPoint> &points, int nthreads)
     }
     // Each worker claims the next unstarted point; every System is
     // fully private to its run, so no cross-run synchronization is
-    // needed beyond the claim counter.
+    // needed beyond the claim counter. A point's exception is kept in
+    // its own slot (it must not escape the thread) and the lowest
+    // failing index is rethrown, as the serial loop would.
     std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(points.size());
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
     for (int t = 0; t < workers; ++t) {
@@ -134,12 +138,20 @@ runSweep(const std::vector<SweepPoint> &points, int nthreads)
                 if (i >= points.size())
                     return;
                 const SweepPoint &p = points[i];
-                results[i] = runConfig(p.cfg, p.workload, p.opt);
+                try {
+                    results[i] = runConfig(p.cfg, p.workload, p.opt);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
             }
         });
     }
     for (std::thread &t : pool)
         t.join();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
     return results;
 }
 

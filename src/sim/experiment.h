@@ -94,6 +94,8 @@ SweepPoint makeSweepPoint(const std::string &variant,
  *
  * @param nthreads worker count; <= 0 reads SKYBYTE_BENCH_NTHREADS and
  *                 falls back to the hardware concurrency
+ * @throws the exception of the lowest-indexed failing point, once
+ *         every worker has stopped (serially: as soon as it fails)
  */
 std::vector<SimResult> runSweep(const std::vector<SweepPoint> &points,
                                 int nthreads = 0);

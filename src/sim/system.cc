@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/flat_map.h"
 #include "trace/mix_workload.h"
 
 namespace skybyte {
@@ -258,7 +257,12 @@ System::warmupSsd(Workload &warm_ref)
     for (int t = 0; t < warm->numThreads(); ++t)
         cursors.emplace_back(*warm, t);
 
-    FlatMap<std::uint64_t> last_touch;
+    // Last-touch sequence number per footprint page; kUntouched if the
+    // stream never reaches it.
+    constexpr std::uint64_t kUntouched = ~0ULL;
+    const std::uint64_t footprint_pages =
+        (workload_->footprintBytes() + kPageBytes - 1) / kPageBytes;
+    std::vector<std::uint64_t> last_touch(footprint_pages, kUntouched);
     std::uint64_t seq = 0;
     std::uint64_t budget = 2'000'000;
     TraceRecord rec;
@@ -278,13 +282,13 @@ System::warmupSsd(Workload &warm_ref)
         }
     }
 
-    // Slot order is arbitrary; the sort below by (unique) touch seq
-    // fixes the fill order, so results are identical either way.
+    // Fill oldest last touch first: sort the touched pages by their
+    // (unique) touch seq.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> pages;
-    pages.reserve(last_touch.size());
-    last_touch.forEach([&](std::uint64_t lpn, std::uint64_t s) {
-        pages.emplace_back(lpn, s);
-    });
+    for (std::uint64_t lpn = 0; lpn < footprint_pages; ++lpn) {
+        if (last_touch[lpn] != kUntouched)
+            pages.emplace_back(lpn, last_touch[lpn]);
+    }
     std::sort(pages.begin(), pages.end(),
               [](const auto &a, const auto &b) {
                   return a.second < b.second;

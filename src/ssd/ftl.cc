@@ -1,13 +1,31 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
-#include <cassert>
+#include <string>
+
+#include "common/check.h"
 
 namespace skybyte {
+
+namespace {
+
+/** Throw std::logic_error if @p lpn is not a host LPN. */
+void
+checkHostLpn(std::uint64_t lpn)
+{
+    SKYBYTE_CHECK(lpn < Ftl::kColdLpnBase,
+                  "host LPN " + std::to_string(lpn)
+                      + " reaches the cold LPN range");
+}
+
+} // namespace
 
 Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed)
     : cfg_(cfg), eq_(eq), rng_(seed)
 {
+    SKYBYTE_CHECK(cfg_.pagesPerChannel() < kUnmapped,
+                  std::to_string(cfg_.pagesPerChannel())
+                      + " pages per channel overflow a mapping entry");
     channels_.resize(cfg_.channels);
     const auto blocks = static_cast<std::uint32_t>(cfg_.blocksPerChannel());
     for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
@@ -15,8 +33,7 @@ Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed)
         ch.flash = std::make_unique<FlashChannel>(static_cast<int>(c),
                                                   cfg_, eq_);
         ch.blocks.resize(blocks);
-        for (auto &blk : ch.blocks)
-            blk.slotLpn.assign(cfg_.pagesPerBlock, kInvalidLpn);
+        ch.slotLpn.assign(cfg_.pagesPerChannel(), kInvalidLpn);
         // All blocks initially free except the first, which opens.
         for (std::uint32_t b = blocks; b > 1; --b)
             ch.freeList.push_back(b - 1);
@@ -72,7 +89,9 @@ Ftl::ensureOpenBlock(Channel &ch)
     if (open.isOpen && open.writeCursor < cfg_.pagesPerBlock)
         return;
     open.isOpen = false;
-    assert(!ch.freeList.empty() && "flash device out of free blocks");
+    SKYBYTE_CHECK(!ch.freeList.empty(),
+                  "flash channel " + std::to_string(ch.flash->id())
+                      + " out of free blocks");
     std::uint32_t next;
     if (cfg_.wearAwareAllocation) {
         // Dynamic wear leveling: open the least-erased free block so
@@ -96,24 +115,37 @@ Ftl::ensureOpenBlock(Channel &ch)
     blk.isOpen = true;
     blk.writeCursor = 0;
     blk.validCount = 0;
-    std::fill(blk.slotLpn.begin(), blk.slotLpn.end(), kInvalidLpn);
     ch.openBlock = next;
+}
+
+std::uint32_t &
+Ftl::mappingEntry(std::uint64_t lpn)
+{
+    if (lpn >= kColdLpnBase) {
+        const std::uint64_t idx = lpn - kColdLpnBase;
+        SKYBYTE_CHECK(idx < coldMap_.size(),
+                      "cold LPN past the preconditioned range");
+        return coldMap_[idx];
+    }
+    if (lpn >= hostMap_.size())
+        hostMap_.resize(lpn + 1, kUnmapped);
+    return hostMap_[lpn];
 }
 
 void
 Ftl::invalidate(std::uint64_t lpn)
 {
-    Ppa *ppa = mapping_.find(lpn);
-    if (ppa == nullptr || !ppa->valid)
+    std::uint32_t &entry = mappingEntry(lpn);
+    if (entry == kUnmapped)
         return;
     Channel &ch = channels_[channelIdx(lpn)];
-    Block &blk = ch.blocks[ppa->block];
-    if (blk.slotLpn[ppa->slot] == lpn) {
-        blk.slotLpn[ppa->slot] = kInvalidLpn;
+    if (ch.slotLpn[entry] == lpn) {
+        ch.slotLpn[entry] = kInvalidLpn;
+        Block &blk = ch.blocks[entry / cfg_.pagesPerBlock];
         if (blk.validCount > 0)
             blk.validCount--;
     }
-    ppa->valid = false;
+    entry = kUnmapped;
 }
 
 void
@@ -121,22 +153,22 @@ Ftl::mapToOpenBlock(Channel &ch, std::uint64_t lpn)
 {
     ensureOpenBlock(ch);
     Block &blk = ch.blocks[ch.openBlock];
-    const std::uint32_t slot = blk.writeCursor++;
-    blk.slotLpn[slot] = lpn;
+    const std::uint32_t page =
+        ch.openBlock * cfg_.pagesPerBlock + blk.writeCursor++;
+    ch.slotLpn[page] = lpn;
     blk.validCount++;
-    mapping_[lpn] = Ppa{ch.openBlock, slot, true};
+    mappingEntry(lpn) = page;
     stats_.mappingUpdates++;
 }
 
 void
 Ftl::readPage(std::uint64_t lpn, Tick when, FlashDoneFn cb)
 {
+    checkHostLpn(lpn);
     Channel &ch = channels_[channelIdx(lpn)];
-    const Ppa *ppa = mapping_.find(lpn);
-    if (ppa == nullptr || !ppa->valid) {
+    if (mappingEntry(lpn) == kUnmapped) {
         // First touch of a never-written page: map it in place
         // (the paper's simulator warms all data into the SSD first).
-        invalidate(lpn);
         mapToOpenBlock(ch, lpn);
     }
     stats_.hostReads++;
@@ -147,6 +179,7 @@ void
 Ftl::writePage(std::uint64_t lpn, Tick when, const PageData &data,
                FlashDoneFn cb)
 {
+    checkHostLpn(lpn);
     Channel &ch = channels_[channelIdx(lpn)];
     invalidate(lpn);
     mapToOpenBlock(ch, lpn);
@@ -218,13 +251,15 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
     // Relocate valid pages: read + program per page, sharing the FIFO.
     Block &blk = ch.blocks[victim];
     Tick cursor = when;
-    for (std::uint32_t s = 0; s < cfg_.pagesPerBlock; ++s) {
-        const std::uint64_t lpn = blk.slotLpn[s];
+    const std::uint32_t first = victim * cfg_.pagesPerBlock;
+    for (std::uint32_t page = first; page < first + cfg_.pagesPerBlock;
+         ++page) {
+        const std::uint64_t lpn = ch.slotLpn[page];
         if (lpn == kInvalidLpn)
             continue;
         ch.flash->enqueue(FlashOpKind::Read, cursor, nullptr);
         // Remap before enqueueing the program so the open block advances.
-        blk.slotLpn[s] = kInvalidLpn;
+        ch.slotLpn[page] = kInvalidLpn;
         blk.validCount--;
         mapToOpenBlock(ch, lpn);
         ch.flash->enqueue(FlashOpKind::Program, cursor, nullptr);
@@ -240,7 +275,9 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
         vb.validCount = 0;
         vb.writeCursor = 0;
         vb.eraseCount++;
-        std::fill(vb.slotLpn.begin(), vb.slotLpn.end(), kInvalidLpn);
+        const auto slots =
+            chn.slotLpn.begin() + victim * cfg_.pagesPerBlock;
+        std::fill(slots, slots + cfg_.pagesPerBlock, kInvalidLpn);
         chn.freeList.push_back(victim);
         stats_.gcErases++;
         if (chn.freeList.size()
@@ -258,6 +295,13 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
 void
 Ftl::precondition(std::uint64_t footprint_pages, double rewrite_fraction)
 {
+    SKYBYTE_CHECK(footprint_pages <= kColdLpnBase,
+                  "footprint overlaps the cold LPN range");
+    if (footprint_pages > hostMap_.size())
+        hostMap_.resize(footprint_pages, kUnmapped);
+    if (footprint_pages > data_.size())
+        data_.resize(footprint_pages);
+
     // 1. Map every host LPN once (no timing; boot-time state).
     for (std::uint64_t lpn = 0; lpn < footprint_pages; ++lpn)
         mapToOpenBlock(channels_[channelIdx(lpn)], lpn);
@@ -277,6 +321,16 @@ Ftl::precondition(std::uint64_t footprint_pages, double rewrite_fraction)
     //    GC victims with reclaimable space — a steady-state device, not
     //    a pathological 100%-valid one.
     const std::uint32_t target_free = gcThresholdBlocks() + 2;
+    // Size the cold range once: a channel pads at most
+    // pagesPerChannel() pages, each cfg_.channels LPNs past the last.
+    for (const Channel &ch : channels_) {
+        const std::uint64_t end = ch.coldLpnNext - kColdLpnBase
+                                  + (cfg_.pagesPerChannel() - 1)
+                                        * cfg_.channels
+                                  + 1;
+        if (end > coldMap_.size())
+            coldMap_.resize(end, kUnmapped);
+    }
     for (auto &ch : channels_) {
         std::vector<std::uint64_t> cold_pages;
         while (ch.freeList.size() > target_free) {
@@ -332,6 +386,9 @@ Ftl::wearSummary() const
 PageData &
 Ftl::pageData(std::uint64_t lpn)
 {
+    checkHostLpn(lpn);
+    if (lpn >= data_.size())
+        data_.resize(lpn + 1);
     auto &slot = data_[lpn];
     if (!slot)
         slot = std::make_unique<PageData>(PageData{});
@@ -342,10 +399,9 @@ LineValue
 Ftl::peekLine(Addr line_addr)
 {
     const std::uint64_t lpn = pageNumber(line_addr);
-    const auto *slot = data_.find(lpn);
-    if (slot == nullptr)
+    if (lpn >= data_.size() || !data_[lpn])
         return 0;
-    return (**slot)[lineInPage(line_addr)];
+    return (*data_[lpn])[lineInPage(line_addr)];
 }
 
 } // namespace skybyte

@@ -17,7 +17,6 @@
 
 #include "common/config.h"
 #include "common/event_queue.h"
-#include "common/flat_map.h"
 #include "common/rng.h"
 #include "ssd/flash.h"
 
@@ -41,6 +40,13 @@ class Ftl
 {
   public:
     Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed);
+
+    /**
+     * Cold preconditioning data lives at and above this LPN. Host LPNs
+     * must stay below it: readPage, writePage and pageData throw
+     * std::logic_error otherwise.
+     */
+    static constexpr std::uint64_t kColdLpnBase = 1ULL << 40;
 
     /**
      * Read logical page @p lpn at time @p when; @p cb fires with the
@@ -117,14 +123,17 @@ class Ftl
         std::uint32_t eraseCount = 0;  ///< lifetime wear (P/E cycles)
         bool isFree = true;
         bool isOpen = false;
-        /** LPN stored in each page slot; kInvalidLpn when dead/empty. */
-        std::vector<std::uint64_t> slotLpn;
     };
 
     struct Channel
     {
         std::unique_ptr<FlashChannel> flash;
         std::vector<Block> blocks;
+        /**
+         * LPN stored in each page slot (block b's slot s at
+         * b * pagesPerBlock + s); kInvalidLpn when dead/empty.
+         */
+        std::vector<std::uint64_t> slotLpn;
         std::vector<std::uint32_t> freeList;
         std::uint32_t openBlock = 0;
         bool gcRunning = false;
@@ -132,8 +141,8 @@ class Ftl
     };
 
     static constexpr std::uint64_t kInvalidLpn = ~0ULL;
-    /** Cold preconditioning data lives in this LPN range. */
-    static constexpr std::uint64_t kColdLpnBase = 1ULL << 40;
+    /** Mapping entry of an unmapped LPN. */
+    static constexpr std::uint32_t kUnmapped = ~0U;
 
     std::uint32_t channelIdx(std::uint64_t lpn) const
     {
@@ -142,6 +151,12 @@ class Ftl
 
     /** Map/remap @p lpn to a fresh page on its channel (no timing). */
     void mapToOpenBlock(Channel &ch, std::uint64_t lpn);
+
+    /**
+     * @p lpn's mapping entry. A host LPN past hostMap_ grows it (LPNs
+     * mapped lazily past the preconditioned footprint).
+     */
+    std::uint32_t &mappingEntry(std::uint64_t lpn);
 
     /** Invalidate @p lpn's current mapping if any. */
     void invalidate(std::uint64_t lpn);
@@ -161,20 +176,21 @@ class Ftl
     EventQueue &eq_;
     Rng rng_;
     std::vector<Channel> channels_;
-    /** lpn -> (channel-local block, slot); channel implied by lpn. */
-    struct Ppa
-    {
-        std::uint32_t block = 0;
-        std::uint32_t slot = 0;
-        bool valid = false;
-    };
     /**
-     * Hot indices, probed per flash op / per functional page access.
-     * data_ holds unique_ptrs so PageData addresses survive rehashes
-     * (pageData() hands out references).
+     * lpn -> channel-local page index (block * pagesPerBlock + slot;
+     * the channel is implied by the lpn), kUnmapped when unmapped. Host
+     * LPNs index hostMap_ directly; cold LPNs index coldMap_ at
+     * lpn - kColdLpnBase, which is dense because each channel hands
+     * them out in kColdLpnBase + c + k * channels order.
      */
-    FlatMap<Ppa> mapping_;
-    FlatMap<std::unique_ptr<PageData>> data_;
+    std::vector<std::uint32_t> hostMap_;
+    std::vector<std::uint32_t> coldMap_;
+    /**
+     * Functional page store, indexed by host LPN. unique_ptrs keep the
+     * pages that pageData() hands out references to in place when the
+     * array grows.
+     */
+    std::vector<std::unique_ptr<PageData>> data_;
     FtlStats stats_;
 };
 

@@ -2,13 +2,20 @@
  * @file
  * Tests for the flash substrate: channel timing per NAND family
  * (Table IV), die/bus queueing, the Algorithm 1 delay estimator, FTL
- * mapping with out-of-place updates, GC triggering and reclamation, and
- * preconditioning (§VI-A).
+ * mapping with out-of-place updates, GC triggering and reclamation,
+ * preconditioning (§VI-A), a pinned golden state of a seeded GC-heavy
+ * run, and the always-on checks on out-of-range LPNs and free-block
+ * exhaustion.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "common/event_queue.h"
+#include "common/rng.h"
 #include "ssd/flash.h"
 #include "ssd/ftl.h"
 
@@ -183,6 +190,125 @@ TEST(Ftl, ChannelStriping)
     // LPN n maps to channel n % channels.
     EXPECT_EQ(&ftl.channelOf(0), &ftl.channelOf(2));
     EXPECT_NE(&ftl.channelOf(0), &ftl.channelOf(1));
+}
+
+/**
+ * Golden state of a seeded run: precondition, then a random mix of
+ * reads and writes over (and past) the footprint that drives dozens of
+ * GC rounds. The pinned values were recorded from the hash-map FTL, so
+ * any change to mapping, victim choice or GC timing shows up here.
+ */
+TEST(Ftl, SeededGcRunMatchesGoldenState)
+{
+    FlashConfig cfg = tinyFlash();
+    cfg.blocksPerPlane = 8; // 32 blocks/channel
+    cfg.pagesPerBlock = 16; // 512 pages/channel
+    EventQueue eq;
+    Ftl ftl(cfg, eq, 7);
+    ftl.precondition(192);
+    Rng rng(99);
+    for (std::uint64_t i = 0; i < 3000; ++i) {
+        const std::uint64_t lpn = rng.below(256);
+        if (rng.chance(0.6)) {
+            PageData data{};
+            data[lpn % kLinesPerPage] = i + 1;
+            ftl.writePage(lpn, eq.now(), data, nullptr);
+        } else {
+            ftl.readPage(lpn, eq.now(), nullptr);
+        }
+        if (i % 8 == 7)
+            eq.run();
+    }
+    eq.run();
+
+    const FtlStats &s = ftl.stats();
+    EXPECT_EQ(s.hostReads, 1167u);
+    EXPECT_EQ(s.hostPrograms, 1833u);
+    EXPECT_EQ(s.gcPageMoves, 2230u);
+    EXPECT_EQ(s.gcErases, 251u);
+    EXPECT_EQ(s.gcRuns, 49u);
+    EXPECT_EQ(s.mappingUpdates, 4823u);
+    EXPECT_EQ(ftl.freeBlocks(0), 7u);
+    EXPECT_EQ(ftl.freeBlocks(1), 6u);
+    const Ftl::WearSummary wear = ftl.wearSummary();
+    EXPECT_EQ(wear.minErase, 0u);
+    EXPECT_EQ(wear.maxErase, 12u);
+    EXPECT_DOUBLE_EQ(wear.meanErase, 3.921875);
+    EXPECT_DOUBLE_EQ(ftl.writeAmplification(), 4063.0 / 1833.0);
+    EXPECT_EQ(ftl.totalPrograms(), 4063u);
+    EXPECT_EQ(ftl.totalReads(), 3397u);
+    EXPECT_EQ(eq.now(), 5491194925u);
+    const std::pair<std::uint64_t, LineValue> peeks[] = {
+        {0, 2743},   {7, 2835},   {100, 2579},
+        {191, 2162}, {200, 2637}, {255, 2584}};
+    for (const auto &[lpn, value] : peeks) {
+        EXPECT_EQ(ftl.peekLine(lpn * kPageBytes
+                               + (lpn % kLinesPerPage) * kCachelineBytes),
+                  value)
+            << "lpn " << lpn;
+    }
+}
+
+TEST(Ftl, PagesFarPastTheFootprint)
+{
+    EventQueue eq;
+    Ftl ftl(tinyFlash(), eq, 1);
+    ftl.precondition(16);
+    PageData &first = ftl.pageData(0);
+    first[3] = 77;
+
+    // Lazily mapped LPNs far past the footprint grow the dense arrays.
+    PageData data{};
+    data[5] = 99;
+    ftl.writePage(1'000'000, 0, data, nullptr);
+    Tick done = 0;
+    ftl.readPage(2'000'001, 0, [&](Tick t) { done = t; });
+    eq.run();
+    EXPECT_GT(done, 0u);
+    EXPECT_EQ(ftl.stats().hostPrograms, 1u);
+    EXPECT_EQ(ftl.stats().hostReads, 1u);
+    EXPECT_EQ(ftl.peekLine(1'000'000 * kPageBytes + 5 * kCachelineBytes),
+              99u);
+    EXPECT_EQ(ftl.peekLine(2'000'001 * kPageBytes), 0u);
+    EXPECT_EQ(ftl.peekLine(5'000'000 * kPageBytes), 0u);
+
+    // pageData() references stay valid across the growth.
+    EXPECT_EQ(&ftl.pageData(0), &first);
+    EXPECT_EQ(first[3], 77u);
+    EXPECT_EQ(ftl.peekLine(3 * kCachelineBytes), 77u);
+}
+
+TEST(Ftl, HostLpnInColdRangeThrows)
+{
+    EventQueue eq;
+    Ftl ftl(tinyFlash(), eq, 1);
+    ftl.precondition(16);
+    PageData data{};
+    EXPECT_THROW(ftl.writePage(Ftl::kColdLpnBase, 0, data, nullptr),
+                 std::logic_error);
+    EXPECT_THROW(ftl.readPage(Ftl::kColdLpnBase + 1, 0, nullptr),
+                 std::logic_error);
+    EXPECT_THROW(ftl.pageData(Ftl::kColdLpnBase), std::logic_error);
+}
+
+TEST(Ftl, ExhaustedFreeListThrows)
+{
+    EventQueue eq;
+    FlashConfig cfg = tinyFlash();
+    cfg.gcFreeBlockThreshold = 0.0; // GC never starts
+    Ftl ftl(cfg, eq, 1);
+    PageData data{};
+    // One more distinct page than channel 0 holds.
+    const std::uint64_t pages = cfg.pagesPerChannel() + 1;
+    try {
+        for (std::uint64_t i = 0; i < pages; ++i)
+            ftl.writePage(i * cfg.channels, 0, data, nullptr);
+        FAIL() << "filling the channel past capacity did not throw";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("flash channel 0"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

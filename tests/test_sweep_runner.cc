@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,28 @@ TEST(SweepRunner, RepeatedRunsAreDeterministic)
         SCOPED_TRACE(points[i].cfg.name + "/" + points[i].workload);
         expectSameResult(first[i], second[i]);
     }
+}
+
+TEST(SweepRunner, PointErrorReachesTheCallerFromWorkers)
+{
+    std::vector<SweepPoint> points = smallSweep();
+    points[3].workload = "no-such-workload-b";
+    points[1].workload = "no-such-workload-a";
+    const auto message = [&](int nthreads) {
+        try {
+            runSweep(points, nthreads);
+        } catch (const std::exception &e) {
+            return std::string(e.what());
+        }
+        return std::string("no exception");
+    };
+    const std::string serial = message(1);
+    EXPECT_NE(serial.find("no-such-workload-a"), std::string::npos)
+        << serial;
+    // Workers must not let the error escape their thread, and report
+    // the same (lowest-indexed) failure as the serial loop.
+    EXPECT_EQ(message(2), serial);
+    EXPECT_EQ(message(4), serial);
 }
 
 TEST(SweepRunner, EmptyAndThreadCountResolution)
