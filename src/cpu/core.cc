@@ -76,7 +76,7 @@ Core::fillLocal(Addr line, Tick now)
     }
 }
 
-bool
+Core::State
 Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
 {
     const Addr line = lineAlign(rec.vaddr);
@@ -97,12 +97,12 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
             }
         }
         entry.completeAt = t + cfg_.l1d.hitLatency;
-        return true;
+        return State::Running;
     }
 
     if (l1_.access(line, false)) {
         entry.completeAt = t + cfg_.l1d.hitLatency;
-        return true;
+        return State::Running;
     }
     if (l2_.access(line, false)) {
         CacheResult r1 = l1_.fill(line, false);
@@ -112,14 +112,14 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
                 uncore_.writebackToL3(c.victimAddr, c.victimValue, t);
         }
         entry.completeAt = t + cfg_.l2.hitLatency;
-        return true;
+        return State::Running;
     }
 
     // LLC-bound. Reserve an L1 MSHR unless this line coalesces onto an
     // in-flight one.
     const bool coalesced = l1Mshrs_.contains(line);
     if (!coalesced && l1Mshrs_.full())
-        return false;
+        return State::StalledL1Mshr;
 
     MissRef status = uncore_.makeMiss();
     status->lineAddr = line;
@@ -130,7 +130,7 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
       case UncoreLoadResult::HitL3:
         fillLocal(line, t);
         entry.completeAt = t + cfg_.llc.hitLatency;
-        return true;
+        return State::Running;
       case UncoreLoadResult::Pending:
         if (!coalesced) {
             l1Mshrs_.allocate(line);
@@ -138,11 +138,11 @@ Core::issueMem(const TraceRecord &rec, Tick t, RobEntry &entry)
         }
         entry.miss = std::move(status);
         entry.completeAt = kTickMax;
-        return true;
+        return State::Running;
       case UncoreLoadResult::MshrBlocked:
-        return false;
+        return State::StalledLlcMshr;
     }
-    return false;
+    return State::StalledLlcMshr;
 }
 
 void
@@ -184,10 +184,11 @@ Core::runLoop()
         RobEntry entry;
         entry.slots = slots;
         entry.rec = pendingRec_;
-        if (!issueMem(pendingRec_, issue_end, entry)) {
+        const State issued = issueMem(pendingRec_, issue_end, entry);
+        if (issued != State::Running) {
             stats_.mshrBlockedStalls++;
-            state_ = State::StalledMshr;
-            return; // woken by onMshrFree / own completions
+            state_ = issued;
+            return; // woken by own completions / onMshrFree
         }
         rob_.push_back(std::move(entry));
         robSlotsUsed_ += slots;
@@ -229,9 +230,7 @@ Core::waitOnHead(Tick quantum_end)
 void
 Core::squashToReplay()
 {
-    std::deque<TraceRecord> recs;
     for (auto &entry : rob_) {
-        recs.push_back(entry.rec);
         stats_.squashedRecords++;
         if (entry.miss && !entry.miss->done) {
             entry.miss->orphaned = true;
@@ -241,11 +240,13 @@ Core::squashToReplay()
             }
         }
     }
+    // Prepend newest first so the oldest ROB record replays first.
     if (hasPendingRec_) {
-        recs.push_back(pendingRec_);
+        thread_->unfetchOne(pendingRec_);
         hasPendingRec_ = false;
     }
-    thread_->unfetch(recs);
+    for (auto it = rob_.rbegin(); it != rob_.rend(); ++it)
+        thread_->unfetchOne(it->rec);
     rob_.clear();
     robSlotsUsed_ = 0;
 }
@@ -315,7 +316,7 @@ Core::onMissData(const MissRef &status, Tick now)
     }
     if (!status->orphaned)
         fillLocal(status->lineAddr, now);
-    if (state_ == State::StalledMem || state_ == State::StalledMshr)
+    if (stalled())
         wake(now);
 }
 
@@ -327,14 +328,20 @@ Core::onMissHint(const MissRef &status, Tick now)
         l1Mshrs_.release(status->lineAddr);
         status->l1MshrHeld = false;
     }
-    if (state_ == State::StalledMem || state_ == State::StalledMshr)
+    if (stalled())
         wake(now);
 }
 
 void
 Core::onMshrFree(Tick now)
 {
-    if (state_ == State::StalledMshr)
+    // Only this core's own onMissData/onMissHint free its L1 MSHRs, so an
+    // L1-blocked core's retry here would block again. The exception keeps
+    // the charging point of a penalty (TLB shootdown) that lands during
+    // an L1 stall: it is charged at the next LLC response, as when every
+    // response re-ran every MSHR-blocked core.
+    if (state_ == State::StalledLlcMshr
+        || (state_ == State::StalledL1Mshr && pendingPenalty_ > 0))
         wake(now);
 }
 

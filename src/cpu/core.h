@@ -42,6 +42,12 @@ struct CoreStats
     std::uint64_t issuedInstructions = 0;
     std::uint64_t contextSwitches = 0;
     std::uint64_t squashedRecords = 0;
+    /**
+     * Times a load blocked on a full MSHR file. An L1 block counts once
+     * per episode (only the core's own completions end it); an LLC block
+     * counts again after each response whose retry blocks again. Not in
+     * any report.
+     */
     std::uint64_t mshrBlockedStalls = 0;
 };
 
@@ -68,6 +74,10 @@ class Core
     /** Uncore callbacks. @{ */
     void onMissData(const MissRef &status, Tick now);
     void onMissHint(const MissRef &status, Tick now);
+    /**
+     * An LLC response freed an LLC MSHR. Wakes an LLC-blocked core; an
+     * L1-blocked core only if a penalty is pending (see core.cc).
+     */
     void onMshrFree(Tick now);
     /** @} */
 
@@ -82,7 +92,14 @@ class Core
     const SetAssocCache &l2() const { return l2_; }
 
   private:
-    enum class State { Idle, Running, StalledMem, StalledMshr, Switching };
+    enum class State
+    {
+        Idle,
+        Running,
+        StalledMem,     ///< ROB head waits on a miss
+        StalledL1Mshr,  ///< own L1 MSHR file full
+        StalledLlcMshr  ///< Uncore::load returned MshrBlocked
+    };
 
     struct RobEntry
     {
@@ -112,9 +129,17 @@ class Core
 
     /**
      * Issue the memory op of @p rec at time @p t.
-     * @retval false if blocked on an MSHR (record stays pending).
+     * @return State::Running if issued, else the MSHR stall state to
+     *         enter (the record stays pending).
      */
-    bool issueMem(const TraceRecord &rec, Tick t, RobEntry &entry);
+    State issueMem(const TraceRecord &rec, Tick t, RobEntry &entry);
+
+    bool
+    stalled() const
+    {
+        return state_ == State::StalledMem || state_ == State::StalledL1Mshr
+            || state_ == State::StalledLlcMshr;
+    }
 
     /** Fill @p line into L1/L2, cascading dirty victims downwards. */
     void fillLocal(Addr line, Tick now);

@@ -35,7 +35,7 @@ class ThreadContext
      * TraceBatch, so the common case is an inline array walk; the
      * workload's virtual refill() runs once per batch. Prefetched
      * records waiting in the batch were never issued, so a squash never
-     * touches them — only ROB/pending records go back through unfetch().
+     * touches them — only ROB/pending records go back, via unfetchOne().
      * @retval false when the thread has fully exhausted its trace.
      */
     bool
@@ -53,16 +53,10 @@ class ThreadContext
     }
 
     /**
-     * Return squashed records (oldest first) to the front of the stream
-     * so the thread re-executes from the faulting instruction.
+     * Return a squashed record to the front of the stream. A squash
+     * prepends its records newest first, so the thread re-executes from
+     * the faulting instruction.
      */
-    void
-    unfetch(const std::deque<TraceRecord> &records)
-    {
-        replay_.insert(replay_.begin(), records.begin(), records.end());
-    }
-
-    /** Prepend a single record (the faulting access itself). */
     void unfetchOne(const TraceRecord &rec) { replay_.push_front(rec); }
 
     bool finished() const { return finished_; }

@@ -128,6 +128,9 @@ Uncore::onResponse(Addr line_addr, const MemResponse &resp)
 void
 Uncore::wakeBlockedCores()
 {
+    // Each core decides at its own call whether to wake: a wake earlier
+    // in the loop can trigger a demotion whose shootdown hook adds a
+    // penalty to a later core, which then must wake (Core::onMshrFree).
     for (Core *core : cores_)
         core->onMshrFree(eq_.now());
 }

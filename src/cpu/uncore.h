@@ -206,6 +206,8 @@ class Uncore
     using WaiterChain = IntrusiveFifo<MissStatus>;
 
     void onResponse(Addr line_addr, const MemResponse &resp);
+    /** Offer every core, in index order, a retry after an LLC MSHR
+     *  freed. */
     void wakeBlockedCores();
     /** Append @p status to @p chain, taking a reference for the link. */
     static void enqueue(WaiterChain &chain, const MissRef &status);

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the core model + uncore against a scripted memory backend:
- * ROB-window stalls, MLP limited by L1 MSHRs, LLC-level coalescing,
- * memory-bound accounting, and the coordinated context switch path
- * (hint -> Long Delay Exception -> squash -> replay, §III-A C1-C4).
+ * ROB-window stalls, MLP limited by L1 MSHRs, which MSHR stalls an LLC
+ * response wakes, LLC-level coalescing, memory-bound accounting, and the
+ * coordinated context switch path (hint -> Long Delay Exception ->
+ * squash -> replay, §III-A C1-C4).
  */
 
 #include <gtest/gtest.h>
@@ -38,7 +39,10 @@ class ScriptedBackend : public MemoryBackend
         MemResponse resp;
         resp.kind = MemResponseKind::Data;
         resp.lineAddr = req.lineAddr;
-        eq_.schedule(when + dataLatency,
+        const auto core = static_cast<std::size_t>(req.coreId);
+        const Tick latency =
+            core < coreLatency.size() ? coreLatency[core] : dataLatency;
+        eq_.schedule(when + latency,
                      [cb = std::move(cb), resp]() mutable { cb(resp); });
     }
 
@@ -50,6 +54,8 @@ class ScriptedBackend : public MemoryBackend
 
     EventQueue &eq_;
     Tick dataLatency = nsToTicks(1000.0);
+    /** Per-core data latency, indexed by core id (overrides the above). */
+    std::vector<Tick> coreLatency;
     Tick hintLatency = nsToTicks(100.0);
     bool hintAll = false;
     std::uint64_t reads_ = 0;
@@ -98,16 +104,70 @@ class StrideWorkload : public Workload
     std::uint64_t emitted_ = 0;
 };
 
+/** Fixed per-thread record lists, one thread per list. */
+class ScriptedWorkload : public Workload
+{
+  public:
+    explicit ScriptedWorkload(std::vector<std::vector<TraceRecord>> recs)
+        : recs_(std::move(recs)), next_(recs_.size(), 0)
+    {}
+
+    std::string name() const override { return "scripted"; }
+    std::uint64_t footprintBytes() const override { return 1 << 30; }
+    int numThreads() const override
+    {
+        return static_cast<int>(recs_.size());
+    }
+    std::uint64_t instructionsEmitted(int) const override { return 0; }
+
+    std::uint32_t
+    refill(int t, TraceBatch &batch) override
+    {
+        const auto &recs = recs_[static_cast<std::size_t>(t)];
+        std::size_t &next = next_[static_cast<std::size_t>(t)];
+        std::uint32_t n = 0;
+        while (n < TraceBatch::kCapacity && next < recs.size())
+            batch.records[n++] = recs[next++];
+        batch.count = n;
+        batch.cursor = 0;
+        return n;
+    }
+
+  private:
+    std::vector<std::vector<TraceRecord>> recs_;
+    std::vector<std::size_t> next_;
+};
+
+/** @p n cold loads to distinct pages from @p first_page on. */
+std::vector<TraceRecord>
+coldLoads(std::uint64_t n, std::uint64_t first_page, std::uint32_t compute)
+{
+    std::vector<TraceRecord> recs;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const Addr vaddr =
+            Workload::kDataBase + (first_page + i) * kPageBytes;
+        recs.push_back({compute, false, vaddr});
+    }
+    return recs;
+}
+
 struct CoreFixture
 {
     explicit CoreFixture(std::unique_ptr<Workload> wl,
-                         PolicyConfig pol = {}, CpuConfig cpu_cfg = {})
+                         PolicyConfig pol = {}, CpuConfig cpu_cfg = {},
+                         int num_cores = 1)
         : workload(std::move(wl)), backend(eq), cpu(cpu_cfg),
           policy(pol), uncore(cpu, eq, backend), sched(pol.schedPolicy, 1)
     {
-        core = std::make_unique<Core>(0, cpu, policy, eq, uncore);
-        core->setScheduler(&sched);
-        sched.setCores({core.get()});
+        std::vector<Core *> core_ptrs;
+        for (int c = 0; c < num_cores; ++c) {
+            cores.push_back(
+                std::make_unique<Core>(c, cpu, policy, eq, uncore));
+            cores.back()->setScheduler(&sched);
+            core_ptrs.push_back(cores.back().get());
+        }
+        core = core_ptrs.front();
+        sched.setCores(core_ptrs);
         for (int t = 0; t < workload->numThreads(); ++t) {
             threads.push_back(std::make_unique<ThreadContext>(
                 t, workload.get()));
@@ -131,7 +191,8 @@ struct CoreFixture
     Uncore uncore;
     CxlAwareScheduler sched;
     std::vector<std::unique_ptr<ThreadContext>> threads;
-    std::unique_ptr<Core> core;
+    std::vector<std::unique_ptr<Core>> cores;
+    Core *core = nullptr; ///< cores[0]
 };
 
 TEST(CoreModel, ExecutesAllInstructions)
@@ -307,6 +368,78 @@ TEST(CoreModel, MultiThreadSharesCore)
     EXPECT_TRUE(fx.sched.allFinished());
     EXPECT_TRUE(fx.threads[0]->finished());
     EXPECT_TRUE(fx.threads[1]->finished());
+}
+
+/**
+ * Core 0 fills its 8 L1 MSHRs with slow (1 us) loads and blocks on a
+ * ninth; core 1 streams fast (100 ns) loads whose responses land during
+ * that stall. @p penalty_at > 0 adds @p penalty to core 0 at that time.
+ */
+struct L1StallRun
+{
+    explicit L1StallRun(Tick penalty_at = 0, Tick penalty = 0)
+        : fx(std::make_unique<ScriptedWorkload>(
+                 std::vector<std::vector<TraceRecord>>{
+                     coldLoads(9, 0, 0), coldLoads(40, 1000, 20)}),
+             {}, {}, 2)
+    {
+        fx.backend.coreLatency = {nsToTicks(1000.0), nsToTicks(100.0)};
+        if (penalty_at > 0) {
+            fx.eq.schedule(penalty_at, [this, penalty] {
+                fx.core->addPenalty(penalty);
+            });
+        }
+        fx.run();
+    }
+
+    CoreFixture fx;
+};
+
+TEST(CoreModel, L1MshrStallIgnoresOtherCoresResponses)
+{
+    L1StallRun run;
+    const CoreFixture &fx = run.fx;
+    EXPECT_TRUE(fx.sched.allFinished());
+    EXPECT_EQ(fx.core->stats().committedInstructions, 9u);
+    // Core 1's loads came back while core 0 waited on its own MSHRs.
+    EXPECT_LT(fx.threads[1]->finishTime(), fx.threads[0]->finishTime());
+    // One blocking episode, however many LLC responses it spanned.
+    EXPECT_EQ(fx.core->stats().mshrBlockedStalls, 1u);
+}
+
+TEST(CoreModel, LlcMshrStallResumesOnAnotherCoresResponse)
+{
+    // One LLC MSHR: core 0's slow miss holds it, so core 1's load
+    // blocks in the uncore and must resume when core 0's miss returns.
+    CpuConfig cpu;
+    cpu.llc.mshrs = 1;
+    CoreFixture fx(std::make_unique<ScriptedWorkload>(
+                       std::vector<std::vector<TraceRecord>>{
+                           coldLoads(1, 0, 0), coldLoads(3, 1000, 10)}),
+                   {}, cpu, 2);
+    fx.backend.coreLatency = {nsToTicks(1000.0), nsToTicks(100.0)};
+    fx.run();
+    EXPECT_TRUE(fx.sched.allFinished());
+    EXPECT_EQ(fx.cores[1]->stats().committedInstructions, 3u * 11u);
+    EXPECT_GT(fx.cores[1]->stats().mshrBlockedStalls, 0u);
+    EXPECT_GT(fx.uncore.llcMshrBlocks(), 0u);
+    EXPECT_GT(fx.threads[1]->finishTime(), nsToTicks(1000.0));
+}
+
+TEST(CoreModel, PenaltyDuringL1MshrStallChargedAtNextLlcResponse)
+{
+    // A 500 ns shootdown penalty lands at 50 ns, while core 0 is
+    // L1-blocked. It is charged when core 1's first response arrives
+    // (~100 ns), inside the stall, so core 0 finishes as if it never
+    // came; charged at core 0's own wake (1 us) it would delay it.
+    const L1StallRun base;
+    const L1StallRun hit(nsToTicks(50.0), nsToTicks(500.0));
+    EXPECT_EQ(hit.fx.threads[0]->finishTime(),
+              base.fx.threads[0]->finishTime());
+    EXPECT_EQ(hit.fx.core->stats().memStallTicks,
+              base.fx.core->stats().memStallTicks);
+    // The charging wake retried the blocked load once more.
+    EXPECT_EQ(hit.fx.core->stats().mshrBlockedStalls, 2u);
 }
 
 } // namespace
