@@ -15,7 +15,7 @@
  *
  * The exact-LRU alternative the simulator also offers (ReclaimPolicy::
  * LruScan) scans all promoted regions for the smallest last-use stamp;
- * the ablation bench compares both.
+ * the abl_reclaim sweep compares both.
  */
 
 #ifndef SKYBYTE_CORE_RECLAIM_H

@@ -452,7 +452,7 @@ collectLintFiles(const std::string &root)
                                  + base.string() + ")");
     }
     std::vector<std::string> paths;
-    for (const char *top : {"src", "tools", "bench"}) {
+    for (const char *top : {"src", "tools"}) {
         const fs::path dir = base / top;
         if (!fs::is_directory(dir))
             continue;

@@ -153,7 +153,7 @@ std::vector<LintFinding> lintFiles(const std::vector<SourceFile> &files);
 
 /**
  * The repo-relative paths the tree lint covers: every *.h / *.cc under
- * src/, tools/ and bench/ below @p root, sorted lexicographically so
+ * src/ and tools/ below @p root, sorted lexicographically so
  * scan order (and therefore output and baseline order) is independent
  * of directory enumeration order.
  * @throws std::runtime_error when @p root has no src/ directory.

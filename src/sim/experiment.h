@@ -1,6 +1,6 @@
 /**
  * @file
- * Experiment presets shared by the benchmark harness, examples and
+ * Experiment presets shared by the sweep registry, examples and
  * integration tests: variant construction, the paper's thread-count rule
  * (§VI-A: 24 threads on 8 cores when coordinated context switch is
  * enabled, 8 threads otherwise), and environment-tunable run scale.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -139,8 +140,16 @@ ExecutorOptions
 executorOptionsFromEnv()
 {
     ExecutorOptions opt;
-    if (const char *s = std::getenv("SKYBYTE_BACKOFF_MS"))
+    if (const char *s = std::getenv("SKYBYTE_BACKOFF_MS")) {
+        // Digits only: strtoull would read "-1" as 2^64-1 and "x" as 0.
+        // An out-of-range value saturates, which waits forever.
+        const std::string text = s;
+        if (text.empty()
+            || text.find_first_not_of("0123456789") != std::string::npos)
+            throw std::invalid_argument(
+                "SKYBYTE_BACKOFF_MS expects an integer >= 0, got: " + text);
         opt.backoffBaseMs = std::strtoull(s, nullptr, 10);
+    }
     return opt;
 }
 
@@ -319,7 +328,11 @@ backoffDelayMs(std::uint64_t baseMs, std::uint32_t failedAttempt,
         return 0;
     const std::uint32_t exp =
         std::min(failedAttempt == 0 ? 0u : failedAttempt - 1, 6u);
-    const std::uint64_t delay = baseMs << exp;
+    constexpr std::uint64_t kMax =
+        std::numeric_limits<std::uint64_t>::max();
+    // Saturate instead of wrapping to a short (or zero) wait.
+    const std::uint64_t delay =
+        baseMs > (kMax >> exp) ? kMax : baseMs << exp;
     // Deterministic jitter in [0, baseMs): decorrelates retry storms
     // across points without sacrificing reproducibility.
     const FlatHash mix;
@@ -327,7 +340,7 @@ backoffDelayMs(std::uint64_t baseMs, std::uint32_t failedAttempt,
         mix(seed ^ mix(static_cast<std::uint64_t>(index) + 1)
             ^ (static_cast<std::uint64_t>(failedAttempt) << 32))
         % baseMs;
-    return delay + jitter;
+    return delay > kMax - jitter ? kMax : delay + jitter;
 }
 
 // ----------------------------------------------------------- executor
@@ -335,6 +348,22 @@ backoffDelayMs(std::uint64_t baseMs, std::uint32_t failedAttempt,
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/**
+ * @p start + @p ms. A span past the clock's range saturates to
+ * time_point::max() ("never") instead of wrapping into the past.
+ */
+Clock::time_point
+saturatingAfter(Clock::time_point start, std::uint64_t ms)
+{
+    const auto headroom =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - start)
+            .count();
+    if (ms >= static_cast<std::uint64_t>(headroom))
+        return Clock::time_point::max();
+    return start + std::chrono::milliseconds(static_cast<std::int64_t>(ms));
+}
 
 std::uint64_t
 msBetween(Clock::time_point a, Clock::time_point b)
@@ -492,13 +521,14 @@ runSweepIsolated(const std::string &sweepName, std::size_t totalPoints,
                        kind == PointStatus::Timeout ? "timeout"
                                                     : "failed",
                        ms, detail);
-        if (attempt < 1 + opt.retries) {
+        // attempt <= retries, not attempt < 1 + retries: the sum wraps
+        // to 0 at retries = UINT32_MAX.
+        if (attempt <= opt.retries) {
             const std::uint64_t wait = backoffDelayMs(
                 opt.backoffBaseMs, attempt,
                 points[slot].point.opt.seed, points[slot].index);
-            pending.push_back({slot, attempt + 1,
-                               Clock::now()
-                                   + std::chrono::milliseconds(wait)});
+            pending.push_back(
+                {slot, attempt + 1, saturatingAfter(Clock::now(), wait)});
             return;
         }
         out.status = kind;
@@ -557,9 +587,8 @@ runSweepIsolated(const std::string &sweepName, std::size_t totalPoints,
             });
             const Clock::time_point start = Clock::now();
             const Clock::time_point deadline =
-                opt.timeoutMs == 0
-                    ? Clock::time_point::max()
-                    : start + std::chrono::milliseconds(opt.timeoutMs);
+                opt.timeoutMs == 0 ? Clock::time_point::max()
+                                   : saturatingAfter(start, opt.timeoutMs);
             running.push_back({pid, job.slot, job.attempt, start,
                                deadline});
         }

@@ -110,7 +110,11 @@ struct ExecutorOptions
     bool resume = false;
 };
 
-/** ExecutorOptions with backoffBaseMs from SKYBYTE_BACKOFF_MS. */
+/**
+ * ExecutorOptions with backoffBaseMs from SKYBYTE_BACKOFF_MS.
+ * @throws std::invalid_argument unless the variable is unset or a
+ *         plain non-negative decimal integer.
+ */
 ExecutorOptions executorOptionsFromEnv();
 
 /** What happened to one point. */

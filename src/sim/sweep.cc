@@ -293,4 +293,18 @@ runSweepShard(const SweepSpec &spec, const ExperimentOptions &opt,
     return exec;
 }
 
+ResultGrid
+resultGrid(const SweepSpec &spec, const SweepExecution &exec)
+{
+    std::vector<std::vector<std::string>> labels;
+    labels.reserve(spec.axes.size());
+    for (const SweepAxis &axis : spec.axes)
+        labels.push_back(axis.labels());
+    ResultGrid grid(std::move(labels));
+    for (std::size_t i = 0; i < exec.points.size(); ++i)
+        grid.set(exec.points[i].row(), exec.points[i].col(),
+                 exec.results.at(i));
+    return grid;
+}
+
 } // namespace skybyte

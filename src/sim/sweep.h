@@ -7,8 +7,9 @@
  * expands into labeled, self-contained SweepPoints that run on the
  * runSweep() worker pool. Every figure/table/ablation sweep of the
  * paper is registered here under a stable name (registerSweeps() in
- * sweep_registry.cc), so the bench binaries, the skybyte_sweep CLI and
- * CI all execute the exact same point grids.
+ * sweep_registry.cc) together with the printer of its paper table, so
+ * the skybyte_sweep CLI, the tables and CI all read the exact same
+ * point grids.
  *
  * Sharding: a ShardSpec ("i/N" from --shard or SKYBYTE_SWEEP_SHARD)
  * partitions the expanded points round-robin by index. Shards are
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "sim/experiment.h"
+#include "sim/table.h"
 
 namespace skybyte {
 
@@ -62,9 +64,9 @@ struct LabeledPoint
     std::vector<std::string> labels;
     SweepPoint point;
 
-    /** First-axis label: the result-table row every bench prints. */
+    /** First-axis label: the result-grid row every table prints. */
     const std::string &row() const { return labels.front(); }
-    /** Remaining labels joined with '/': the result-table column. */
+    /** Remaining labels joined with '/': the result-grid column. */
     std::string col() const;
     /** row()/col(): the stable point id used in report manifests. */
     std::string id() const;
@@ -82,6 +84,8 @@ struct SweepSpec
     /** Default run scale (SKYBYTE_BENCH_INSTR still overrides). */
     std::uint64_t defaultInstrPerThread = 100'000;
     std::vector<SweepAxis> axes;
+    /** Prints the paper's table from the completed grid; may be null. */
+    TablePrinter table;
 
     /** Size of the full cross product. */
     std::size_t pointCount() const;
@@ -185,6 +189,9 @@ SweepExecution runSweepShard(const SweepSpec &spec,
                              const ExperimentOptions &opt,
                              const ShardSpec &shard = {},
                              int nthreads = 0);
+
+/** The (row, col) result grid of @p exec, labelled by @p spec's axes. */
+ResultGrid resultGrid(const SweepSpec &spec, const SweepExecution &exec);
 
 } // namespace skybyte
 

@@ -2,7 +2,7 @@
  * @file
  * Full-system assembly: cores + caches + CXL link + SSD + OS + migration,
  * wired per a SimConfig, executing one multi-threaded workload to
- * completion and returning the statistics every bench and test consumes.
+ * completion and returning the statistics every sweep and test consumes.
  *
  * The MemRouter is the host physical-address decoder: per-thread private
  * data and promoted pages go to host DRAM; everything else goes to the

@@ -68,7 +68,7 @@ class Ftl
     /** Is @p lpn's channel currently running GC? */
     bool gcActiveFor(std::uint64_t lpn) const;
 
-    /** Channel object serving @p lpn (for tests/benches). */
+    /** Channel object serving @p lpn (for tests). */
     const FlashChannel &channelOf(std::uint64_t lpn) const;
 
     /**

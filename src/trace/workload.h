@@ -154,9 +154,7 @@ class TraceCursor
  * Reference adapter reproducing the seed's per-record contract: wraps
  * any workload and refills exactly one record per virtual call. The
  * batching-equivalence tests run a full System against this wrapper
- * and require a bit-identical SimResult fingerprint, and
- * bench_workload_stream measures the per-record virtual overhead the
- * batched API removes.
+ * and require a bit-identical SimResult fingerprint.
  */
 class SingleRecordWorkload : public Workload
 {

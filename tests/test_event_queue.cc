@@ -3,15 +3,21 @@
  * Unit tests for the discrete-event kernel: time ordering, deterministic
  * same-tick FIFO, clamping, bounded runs, the calendar-window-to-heap
  * overflow crossover, and order equivalence against the seed kernel
- * (LegacyEventQueue) under randomized schedules.
+ * (LegacyEventQueue, kept here) under randomized schedules. In
+ * optimized builds, the calendar kernel must also run the simulator's
+ * event mix at least 2x faster than the seed kernel.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -19,6 +25,83 @@
 
 namespace skybyte {
 namespace {
+
+/**
+ * The seed kernel's event path, frozen verbatim: std::priority_queue of
+ * Entry records holding std::function callbacks, with the full-Entry
+ * copy out of top() in step(). The reference for the order-equivalence
+ * and speedup tests below; simulator code uses EventQueue.
+ */
+class LegacyEventQueue
+{
+  public:
+    using EventFn = std::function<void()>;
+
+    LegacyEventQueue() = default;
+
+    LegacyEventQueue(const LegacyEventQueue &) = delete;
+    LegacyEventQueue &operator=(const LegacyEventQueue &) = delete;
+
+    Tick now() const { return now_; }
+
+    void
+    schedule(Tick when, EventFn fn)
+    {
+        if (when < now_)
+            when = now_;
+        heap_.push(Entry{when, seq_++, std::move(fn)});
+    }
+
+    void
+    scheduleAfter(Tick delay, EventFn fn)
+    {
+        schedule(now_ + delay, std::move(fn));
+    }
+
+    bool
+    step()
+    {
+        if (heap_.empty())
+            return false;
+        // Seed behaviour: copies the Entry (and its std::function) out
+        // before popping so the callback may schedule.
+        Entry e = heap_.top();
+        heap_.pop();
+        now_ = e.when;
+        e.fn();
+        return true;
+    }
+
+    void
+    run()
+    {
+        while (step()) {
+        }
+    }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        std::uint64_t seq;
+        EventFn fn;
+    };
+
+    struct Later
+    {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    Tick now_ = 0;
+    std::uint64_t seq_ = 0;
+};
 
 TEST(EventQueue, StartsAtZeroAndEmpty)
 {
@@ -253,6 +336,111 @@ TEST(EventQueue, MatchesLegacyKernelOnRandomSchedules)
     const auto b = drive(legacy);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(a, b);
+}
+
+/**
+ * One self-rescheduling chain of the speedup test. Copies of this
+ * struct are the scheduled callbacks; the xorshift state makes stride
+ * sequences deterministic per chain yet varied across events. Its 40
+ * bytes of state match the simulator's lambdas (this + a few words),
+ * which exceed std::function's inline buffer, so the seed kernel pays
+ * a heap allocation per schedule plus an Entry copy per step.
+ */
+template <typename Q>
+struct ChainEvent
+{
+    Q *eq;
+    std::uint64_t *executed;
+    std::uint64_t target;
+    Tick maxStride;
+    Tick farStride; ///< 0 = never leave the near window
+    std::uint32_t rng;
+
+    void
+    operator()()
+    {
+        if (++*executed >= target)
+            return;
+        rng ^= rng << 13;
+        rng ^= rng >> 17;
+        rng ^= rng << 5;
+        Tick d = 1 + (rng % maxStride);
+        if (farStride != 0 && rng % 100 < 5)
+            d = farStride + rng % 1024;
+        eq->scheduleAfter(d, *this);
+    }
+};
+
+/** Events per host second of 128 chains through a fresh kernel. */
+template <typename Q>
+double
+chainEventsPerSec(Tick maxStride, Tick farStride)
+{
+    constexpr std::uint64_t kEvents = 2'000'000;
+    constexpr unsigned kChains = 128;
+    Q eq;
+    std::uint64_t executed = 0;
+    for (unsigned i = 0; i < kChains; ++i) {
+        eq.schedule(i, ChainEvent<Q>{&eq, &executed, kEvents, maxStride,
+                                     farStride, 0x9e3779b9u + i});
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    eq.run();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    return secs > 0 ? static_cast<double>(executed) / secs : 0.0;
+}
+
+TEST(EventQueue, CalendarKernelIsTwiceAsFastAsSeedKernel)
+{
+#ifndef NDEBUG
+    GTEST_SKIP() << "the speedup bound holds for optimized (NDEBUG) "
+                    "builds only";
+#else
+    // The simulator's event mix: near = cache/DRAM-scale strides inside
+    // the calendar window; spread = strides up to the full window (the
+    // occupancy-bitmap skip); mixed = 5% flash-scale far events that
+    // overflow to the heap and migrate back.
+    struct Scenario
+    {
+        const char *name;
+        Tick maxStride;
+        Tick farStride;
+    };
+    const Scenario scenarios[] = {
+        {"near", 256, 0},
+        {"spread", EventQueue::kWindowTicks, 0},
+        {"mixed", 2048, 100'000}};
+    // Best of interleaved rounds: host-speed drift hits both kernels
+    // alike, and the ratio is independent of the host's speed.
+    constexpr int kRounds = 5;
+    double log_sum = 0;
+    for (const Scenario &sc : scenarios) {
+        double calendar = 0, legacy = 0;
+        for (int round = 0; round < kRounds; ++round) {
+            calendar = std::max(calendar, chainEventsPerSec<EventQueue>(
+                                              sc.maxStride, sc.farStride));
+            legacy = std::max(legacy,
+                              chainEventsPerSec<LegacyEventQueue>(
+                                  sc.maxStride, sc.farStride));
+        }
+        ASSERT_GT(legacy, 0.0) << sc.name;
+        const double speedup = calendar / legacy;
+        std::printf("%-8s calendar %12.0f  seed %12.0f events/s"
+                    "  %.2fx\n",
+                    sc.name, calendar, legacy, speedup);
+        EXPECT_GE(speedup, 2.0)
+            << sc.name << ": calendar " << calendar << " vs seed "
+            << legacy << " events/s";
+        log_sum += std::log(speedup);
+    }
+    // 0.75 x the 3.81x geomean measured when the calendar kernel landed:
+    // a 25% regression fails even while every scenario clears 2x.
+    const double geomean = std::exp(log_sum / std::size(scenarios));
+    std::printf("geomean  %.2fx\n", geomean);
+    EXPECT_GE(geomean, 2.86);
+#endif
 }
 
 TEST(EventQueue, WindowAndChunkKnobsNeverChangeExecutionOrder)

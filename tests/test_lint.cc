@@ -509,7 +509,6 @@ TEST(LintCollect, FiltersAndSorts)
     fs::remove_all(root);
     fs::create_directories(root / "src" / "core");
     fs::create_directories(root / "tools");
-    fs::create_directories(root / "bench");
     fs::create_directories(root / "tests");
     const auto touch = [](const fs::path &p) {
         std::ofstream(p.string()) << "int x;\n";
@@ -518,13 +517,12 @@ TEST(LintCollect, FiltersAndSorts)
     touch(root / "src" / "a.h");
     touch(root / "src" / "notes.txt");
     touch(root / "tools" / "t.cc");
-    touch(root / "bench" / "m.h");
     touch(root / "tests" / "ignored.cc");
 
     const auto files = collectLintFiles(root.string());
     EXPECT_EQ(files,
-              (std::vector<std::string>{"bench/m.h", "src/a.h",
-                                        "src/core/b.cc", "tools/t.cc"}));
+              (std::vector<std::string>{"src/a.h", "src/core/b.cc",
+                                        "tools/t.cc"}));
     fs::remove_all(root);
 
     EXPECT_THROW(collectLintFiles((root / "nope").string()),

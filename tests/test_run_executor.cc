@@ -7,7 +7,9 @@
  *
  *  - a fault-free isolated run is byte-identical to the in-process
  *    runner's report;
- *  - injected crash and hang points complete via retries;
+ *  - injected crash and hang points complete via retries, also at the
+ *    largest retry count, and limits beyond the clock's range saturate
+ *    instead of wrapping;
  *  - a permanently failing point degrades to a partial report whose
  *    failure manifest names it;
  *  - resume re-runs only incomplete points (including a point whose
@@ -23,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -163,6 +166,25 @@ TEST(Backoff, DeterministicSeededExponentialWithJitter)
     }
     // base 0 disables the backoff entirely.
     EXPECT_EQ(backoffDelayMs(0, 3, 42, 3), 0u);
+    // A unit too large to shift saturates instead of wrapping to a
+    // short wait (the executor then treats it as "never").
+    constexpr std::uint64_t kMax =
+        std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(backoffDelayMs(kMax / 2, 3, 42, 3), kMax);
+    EXPECT_EQ(backoffDelayMs(kMax, 1, 42, 3), kMax);
+}
+
+TEST(Backoff, EnvUnitMustBeANonNegativeInteger)
+{
+    {
+        ScopedEnv env("SKYBYTE_BACKOFF_MS", "250");
+        EXPECT_EQ(executorOptionsFromEnv().backoffBaseMs, 250u);
+    }
+    for (const char *bad : {"-1", "5ms", "", " 5", "1e3"}) {
+        ScopedEnv env("SKYBYTE_BACKOFF_MS", bad);
+        EXPECT_THROW(executorOptionsFromEnv(), std::invalid_argument)
+            << '"' << bad << '"';
+    }
 }
 
 TEST(RunExecutor, FaultFreeRunIsByteIdenticalToInProcess)
@@ -281,6 +303,40 @@ TEST(RunExecutor, CleanExitWithoutResultIsAFailure)
     EXPECT_EQ(exec.outcomes[1].status, PointStatus::Failed);
     EXPECT_NE(exec.outcomes[1].detail.find("without a committed"),
               std::string::npos);
+}
+
+TEST(RunExecutor, MaxRetriesStillRetries)
+{
+    TempDir dir;
+    // 1 + retries wraps to 0 at UINT32_MAX; the point must still get
+    // its second attempt.
+    ScopedEnv fault("SKYBYTE_FAULT", "ycsb/Base-CSSD:crash@1");
+    std::size_t total = 0;
+    const std::vector<LabeledPoint> points = smokePoints(total);
+    ExecutorOptions opt = fastOptions(dir.path);
+    opt.retries = std::numeric_limits<std::uint32_t>::max();
+    const IsolatedExecution exec =
+        runSweepIsolated("smoke", total, {0, 1}, points, opt);
+    ASSERT_TRUE(exec.complete());
+    EXPECT_EQ(exec.outcomes[0].status, PointStatus::Ok);
+    EXPECT_EQ(exec.outcomes[0].attempts, 2u);
+}
+
+TEST(RunExecutor, TimeoutBeyondClockRangeMeansNoTimeout)
+{
+    TempDir dir;
+    // start + UINT64_MAX ms must saturate to "no deadline", not wrap
+    // into the past and kill every point on its first poll.
+    std::size_t total = 0;
+    const std::vector<LabeledPoint> points = smokePoints(total);
+    ExecutorOptions opt = fastOptions(dir.path);
+    opt.timeoutMs = std::numeric_limits<std::uint64_t>::max();
+    const IsolatedExecution exec =
+        runSweepIsolated("smoke", total, {0, 1}, points, opt);
+    ASSERT_TRUE(exec.complete());
+    EXPECT_EQ(exec.countWith(PointStatus::Timeout), 0u);
+    EXPECT_EQ(toJson(isolatedReport(exec, total)),
+              toJson(inProcessReport()));
 }
 
 TEST(RunExecutor, ResumeRerunsOnlyIncompletePoints)

@@ -2,13 +2,16 @@
  * @file
  * Tests for the declarative sweep API: the global registry holds every
  * figure/table/ablation sweep, the cross-product expansion applies
- * axes in order, and the shard selector partitions any sweep into
- * disjoint, complete subsets for adversarial shard counts.
+ * axes in order, the shard selector partitions any sweep into
+ * disjoint, complete subsets for adversarial shard counts, and every
+ * paper sweep's table printer reads only cells of its own grid.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,16 @@
 
 namespace skybyte {
 namespace {
+
+/** Every paper figure/table/ablation sweep; each prints a table. */
+const char *const kPaperSweeps[] = {
+    "fig02",          "fig03",          "fig04",        "fig05",
+    "fig06",          "fig09",          "fig10",        "fig14",
+    "fig15",          "fig16",          "fig17",        "fig18",
+    "fig19",          "fig20",          "fig21",        "fig22",
+    "fig23",          "table1",         "table3",       "abl_dram_model",
+    "abl_gc_wear",    "abl_hugepage",   "abl_mshr_free", "abl_promotion",
+    "abl_reclaim"};
 
 TEST(SweepRegistry, EnumeratesEveryPaperSweep)
 {
@@ -26,16 +39,84 @@ TEST(SweepRegistry, EnumeratesEveryPaperSweep)
         EXPECT_FALSE(spec->title.empty()) << spec->name;
         EXPECT_GT(spec->pointCount(), 0u) << spec->name;
     }
-    // Every multi-run bench binary's grid must be registered.
-    for (const char *required :
-         {"fig02", "fig03", "fig04", "fig05", "fig06", "fig09",
-          "fig10", "fig14", "fig15", "fig16", "fig17", "fig18",
-          "fig19", "fig20", "fig21", "fig22", "fig23", "table1",
-          "table3", "abl_dram_model", "abl_gc_wear", "abl_hugepage",
-          "abl_mshr_free", "abl_promotion", "abl_reclaim", "smoke"}) {
+    for (const char *required : kPaperSweeps)
         EXPECT_TRUE(names.count(required)) << required;
-    }
+    EXPECT_TRUE(names.count("smoke"));
     EXPECT_EQ(findSweep("no-such-sweep"), nullptr);
+}
+
+/** A run of @p spec's full grid where every point returned @p result. */
+SweepExecution
+syntheticExecution(const SweepSpec &spec, const SimResult &result)
+{
+    SweepExecution exec;
+    exec.points = spec.expand(ExperimentOptions{});
+    exec.totalPoints = exec.points.size();
+    exec.results.assign(exec.points.size(), result);
+    return exec;
+}
+
+/** Nonzero in every field a printer divides by. */
+SimResult
+syntheticResult()
+{
+    SimResult r;
+    r.execTime = 1'000'000;
+    r.committedInstructions = 80'000;
+    r.computeTicks = 600'000;
+    r.memStallTicks = 300'000;
+    r.ctxSwitchTicks = 100'000;
+    r.hostReads = 10;
+    r.ssdReadHits = 5;
+    r.ssdReadMisses = 3;
+    r.ssdWrites = 2;
+    r.amatTotalTicks = 4'000.0;
+    r.flashHostPrograms = 7;
+    r.promotions = 4;
+    return r;
+}
+
+TEST(SweepTables, EveryPaperSweepPrintsItsTable)
+{
+    for (const char *name : kPaperSweeps) {
+        const SweepSpec *spec = findSweep(name);
+        ASSERT_NE(spec, nullptr) << name;
+        ASSERT_TRUE(spec->table) << name << " has no table printer";
+        const SweepExecution exec =
+            syntheticExecution(*spec, syntheticResult());
+        std::ostringstream out;
+        EXPECT_NO_THROW(spec->table(resultGrid(*spec, exec), out))
+            << name;
+        EXPECT_EQ(out.str().rfind("\n=====", 0), 0u)
+            << name << " does not open with its header";
+    }
+}
+
+TEST(SweepTables, MissingCellThrowsNamingRowAndColumn)
+{
+    ResultGrid grid({{"bc"}, {"Base-CSSD"}});
+    grid.set("bc", "Base-CSSD", syntheticResult());
+    EXPECT_EQ(grid.at("bc", "Base-CSSD").execTime, 1'000'000u);
+    try {
+        grid.at("bc", "SkyByte-Full");
+        FAIL() << "lookup outside the grid did not throw";
+    } catch (const std::out_of_range &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("\"bc\""), std::string::npos) << what;
+        EXPECT_NE(what.find("\"SkyByte-Full\""), std::string::npos)
+            << what;
+    }
+
+    // A printer over an incomplete grid fails loudly instead of
+    // printing a default-constructed result for the missing point.
+    const SweepSpec *fig14 = findSweep("fig14");
+    ASSERT_NE(fig14, nullptr);
+    SweepExecution exec = syntheticExecution(*fig14, syntheticResult());
+    exec.points.pop_back();
+    exec.results.pop_back();
+    std::ostringstream out;
+    EXPECT_THROW(fig14->table(resultGrid(*fig14, exec), out),
+                 std::out_of_range);
 }
 
 TEST(SweepRegistry, RegistersUserSweepsAndRejectsDuplicates)

@@ -5,7 +5,7 @@
  *   skybyte_lint --list
  *       Enumerate the registered rule families.
  *   skybyte_lint [--root dir] [--baseline file] [--json] [paths...]
- *       Scan every *.h and *.cc under <root>/{src,tools,bench} (or
+ *       Scan every *.h and *.cc under <root>/{src,tools} (or
  *       the given repo-relative paths), apply every registered rule,
  *       and compare against the baseline of grandfathered findings.
  *       Default baseline: <root>/lint_baseline.txt when it exists.

@@ -10,7 +10,9 @@
  *       Run one sweep (or one shard of it) on the in-process worker
  *       pool and write the mergeable JSON report. "-o -" writes to
  *       stdout. Reports are committed write-temp-then-rename, so an
- *       interrupted run never leaves a truncated file.
+ *       interrupted run never leaves a truncated file. An unsharded
+ *       run of a paper sweep then prints the paper's table on stdout
+ *       (unless the report went there).
  *   skybyte_sweep --run <name> --run-dir <dir> [--timeout-s S]
  *                 [--retries N] [--backoff-ms MS] [--resume]
  *                 [--require-complete]
@@ -47,17 +49,20 @@
  *      refusing to clobber), or incomplete result under
  *      --require-complete
  *
- * Scale knobs are the bench ones (SKYBYTE_BENCH_INSTR/THREADS/
- * FOOTPRINT_MB, SKYBYTE_BENCH_NTHREADS); SKYBYTE_SWEEP_SHARD is the
+ * Scale knobs: SKYBYTE_BENCH_INSTR/THREADS/FOOTPRINT_MB and
+ * SKYBYTE_BENCH_NTHREADS (sim/experiment.h); SKYBYTE_SWEEP_SHARD is the
  * environment form of --shard, which CI uses to fan a sweep across
  * jobs. SKYBYTE_BACKOFF_MS overrides the retry backoff unit and
  * SKYBYTE_FAULT injects deterministic child faults (tests/CI only).
  */
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -133,6 +138,60 @@ writeReport(const SweepReport &report, const std::string &path)
     std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
+/**
+ * @p text as a decimal integer in [0, @p max]: digits only, so a
+ * negative value cannot wrap the way std::stoul would wrap "-1".
+ */
+std::uint64_t
+parseCount(const std::string &flag, const std::string &text,
+           std::uint64_t max)
+{
+    const std::string err =
+        flag + " expects an integer in [0, " + std::to_string(max)
+        + "], got: " + text;
+    if (text.empty()
+        || text.find_first_not_of("0123456789") != std::string::npos)
+        throw std::invalid_argument(err);
+    std::uint64_t v = 0;
+    try {
+        v = std::stoull(text, nullptr, 10);
+    } catch (const std::exception &) {
+        throw std::invalid_argument(err);
+    }
+    if (v > max)
+        throw std::invalid_argument(err);
+    return v;
+}
+
+/** @p text as a finite number >= 0 with no trailing characters. */
+double
+parseNonNegative(const std::string &flag, const std::string &text)
+{
+    const std::string err =
+        flag + " expects a finite number >= 0, got: " + text;
+    std::size_t used = 0;
+    double v = 0.0;
+    try {
+        v = std::stod(text, &used);
+    } catch (const std::exception &) {
+        throw std::invalid_argument(err);
+    }
+    if (used != text.size() || !std::isfinite(v) || v < 0.0)
+        throw std::invalid_argument(err);
+    return v;
+}
+
+/** Seconds to whole milliseconds, rounded up and saturating. */
+std::uint64_t
+secondsToMs(double seconds)
+{
+    const double ms = std::ceil(seconds * 1000.0);
+    // 2^64: the first double a uint64_t cannot hold.
+    return ms >= 18446744073709551616.0
+               ? std::numeric_limits<std::uint64_t>::max()
+               : static_cast<std::uint64_t>(ms);
+}
+
 std::string
 defaultOutPath(const std::string &name, const ShardSpec &shard)
 {
@@ -169,8 +228,7 @@ runIsolated(const SweepSpec &spec, const ShardSpec &shard,
     exec_opt.runDir = flags.runDir;
     exec_opt.nthreads = nthreads;
     exec_opt.retries = flags.retries;
-    exec_opt.timeoutMs =
-        static_cast<std::uint64_t>(flags.timeoutSec * 1000.0);
+    exec_opt.timeoutMs = secondsToMs(flags.timeoutSec);
     if (flags.backoffMs >= 0) {
         exec_opt.backoffBaseMs =
             static_cast<std::uint64_t>(flags.backoffMs);
@@ -259,6 +317,8 @@ runSweepCmd(const std::string &name, const std::string &shard_arg,
                  spec->name.c_str(), exec.points.size(),
                  exec.totalPoints, shard.index, shard.count,
                  timed_out ? " [TIMED OUT]" : "");
+    if (spec->table && shard.count == 1 && out_path != "-")
+        spec->table(resultGrid(*spec, exec), std::cout);
     return timed_out ? 3 : 0;
 }
 
@@ -353,18 +413,21 @@ main(int argc, char **argv)
             } else if (arg == "--diff") {
                 mode = "diff";
             } else if (arg == "--tol") {
-                tol_pct = std::stod(next());
+                tol_pct = parseNonNegative(arg, next());
             } else if (arg == "--shard") {
                 shard_arg = next();
             } else if (arg == "--run-dir") {
                 flags.runDir = next();
             } else if (arg == "--timeout-s") {
-                flags.timeoutSec = std::stod(next());
+                flags.timeoutSec = parseNonNegative(arg, next());
             } else if (arg == "--retries") {
-                flags.retries =
-                    static_cast<std::uint32_t>(std::stoul(next()));
+                flags.retries = static_cast<std::uint32_t>(parseCount(
+                    arg, next(),
+                    std::numeric_limits<std::uint32_t>::max()));
             } else if (arg == "--backoff-ms") {
-                flags.backoffMs = std::stol(next());
+                flags.backoffMs = static_cast<std::int64_t>(parseCount(
+                    arg, next(),
+                    std::numeric_limits<std::int64_t>::max()));
             } else if (arg == "--resume") {
                 flags.resume = true;
             } else if (arg == "--require-complete") {
@@ -372,7 +435,8 @@ main(int argc, char **argv)
             } else if (arg == "-o" || arg == "--output") {
                 out_path = next();
             } else if (arg == "-j" || arg == "--nthreads") {
-                nthreads = std::stoi(next());
+                nthreads = static_cast<int>(parseCount(
+                    arg, next(), std::numeric_limits<int>::max()));
             } else if (arg == "-h" || arg == "--help") {
                 usage();
                 return 0;
