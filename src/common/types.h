@@ -23,8 +23,9 @@ using Tick = std::uint64_t;
 using Addr = std::uint64_t;
 
 /**
- * Monotonic functional value carried by a cacheline; no load checks it
- * yet (README "Scale model").
+ * Monotonic functional value carried by a cacheline. Component tests
+ * check it (SSD controller, migration, AstriFlash); a full System run
+ * never checks a load (README "Functional payloads").
  */
 using LineValue = std::uint64_t;
 

@@ -2,11 +2,9 @@
  * @file
  * CXL.mem transport model (§II-A, §III-A, Figure 8).
  *
- * Message types follow the CXL.mem master-to-slave request (M2S Req) and
- * slave-to-master (S2M) classes the paper uses: MemRd / MemWr requests,
- * MemData data responses, and No-Data-Responses (NDR) whose opcode space
- * SkyByte extends with the SkyByte-Delay opcode (0b111) to signal a long
- * access delay back to the host.
+ * The slave-to-master No-Data-Response (NDR) opcode space is extended
+ * with the SkyByte-Delay opcode (0b111) that signals a long access
+ * delay back to the host; cxl/ndr.h encodes the NDR flit.
  *
  * The link itself models the PCIe 5.0 x4 transport: a fixed protocol
  * latency per direction plus a shared bandwidth queue (Table II: 16 GB/s,
@@ -17,20 +15,12 @@
 #define SKYBYTE_CXL_CXL_H
 
 #include <cstdint>
-#include <functional>
 
 #include "common/config.h"
 #include "common/event_queue.h"
 #include "common/types.h"
 
 namespace skybyte {
-
-/** CXL.mem M2S request opcodes (subset used by a Type-3 device). */
-enum class CxlReqOpcode : std::uint8_t
-{
-    MemRd = 0,
-    MemWr = 1,
-};
 
 /**
  * S2M NDR opcodes (Figure 8). SkyByte claims one reserved encoding for
@@ -43,15 +33,6 @@ enum class CxlNdrOpcode : std::uint8_t
     CmpE = 0b010,          ///< CXL.cache coherence completion (exclusive)
     BiConflictAck = 0b100, ///< back-invalidate conflict ack
     SkyByteDelay = 0b111,  ///< long access delay indication (SkyByte)
-};
-
-/** One CXL.mem transaction as seen on the link. */
-struct CxlMessage
-{
-    CxlReqOpcode opcode = CxlReqOpcode::MemRd;
-    std::uint16_t tag = 0; ///< 16-bit transaction tag (Figure 8)
-    Addr lineAddr = 0;
-    LineValue value = 0;
 };
 
 /**

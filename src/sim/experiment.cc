@@ -4,22 +4,37 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <thread>
 
+#include "common/parse.h"
+
 namespace skybyte {
+
+namespace {
+
+/** Bound for the thread-count variables: the workload spec's threads=
+ *  range, and small enough that the cast to int cannot wrap. */
+constexpr std::uint64_t kMaxEnvThreads = 65536;
+
+} // namespace
 
 ExperimentOptions
 ExperimentOptions::fromEnv()
 {
     ExperimentOptions opt;
-    if (const char *s = std::getenv("SKYBYTE_BENCH_INSTR"))
-        opt.instrPerThread = std::strtoull(s, nullptr, 10);
-    if (const char *s = std::getenv("SKYBYTE_BENCH_THREADS"))
-        opt.threadsOverride = static_cast<int>(std::strtol(s, nullptr, 10));
-    if (const char *s = std::getenv("SKYBYTE_BENCH_FOOTPRINT_MB")) {
-        opt.footprintBytes =
-            std::strtoull(s, nullptr, 10) * 1024ULL * 1024ULL;
+    if (const char *s = std::getenv("SKYBYTE_BENCH_INSTR")) {
+        // makeParams() scales it by 8 threads' worth of work.
+        opt.instrPerThread =
+            parseCount("SKYBYTE_BENCH_INSTR", s,
+                       std::numeric_limits<std::uint64_t>::max() / 8);
     }
+    if (const char *s = std::getenv("SKYBYTE_BENCH_THREADS")) {
+        opt.threadsOverride = static_cast<int>(
+            parseCount("SKYBYTE_BENCH_THREADS", s, kMaxEnvThreads));
+    }
+    if (const char *s = std::getenv("SKYBYTE_BENCH_FOOTPRINT_MB"))
+        opt.footprintBytes = parseMegabytes("SKYBYTE_BENCH_FOOTPRINT_MB", s);
     return opt;
 }
 
@@ -95,8 +110,10 @@ int
 sweepThreads(int nthreads, std::size_t npoints)
 {
     if (nthreads <= 0) {
-        if (const char *s = std::getenv("SKYBYTE_BENCH_NTHREADS"))
-            nthreads = static_cast<int>(std::strtol(s, nullptr, 10));
+        if (const char *s = std::getenv("SKYBYTE_BENCH_NTHREADS")) {
+            nthreads = static_cast<int>(
+                parseCount("SKYBYTE_BENCH_NTHREADS", s, kMaxEnvThreads));
+        }
     }
     if (nthreads <= 0)
         nthreads = static_cast<int>(std::thread::hardware_concurrency());

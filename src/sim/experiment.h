@@ -32,6 +32,8 @@ struct ExperimentOptions
      *  - SKYBYTE_BENCH_INSTR: instructions per thread
      *  - SKYBYTE_BENCH_THREADS: thread count
      *  - SKYBYTE_BENCH_FOOTPRINT_MB: workload footprint
+     * @throws std::invalid_argument naming the variable when a set
+     *         value is not a whole number in range
      */
     static ExperimentOptions fromEnv();
 };
@@ -100,7 +102,9 @@ SweepPoint makeSweepPoint(const std::string &variant,
 std::vector<SimResult> runSweep(const std::vector<SweepPoint> &points,
                                 int nthreads = 0);
 
-/** Worker count runSweep will use for @p nthreads. */
+/** Worker count runSweep will use for @p nthreads.
+ *  @throws std::invalid_argument when SKYBYTE_BENCH_NTHREADS is read
+ *          and is not a whole number in [0, 65536]. */
 int sweepThreads(int nthreads, std::size_t npoints);
 
 } // namespace skybyte

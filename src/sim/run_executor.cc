@@ -14,6 +14,7 @@
 
 #include "common/flat_map.h"
 #include "common/fs.h"
+#include "common/parse.h"
 #include "common/subprocess.h"
 
 namespace skybyte {
@@ -140,16 +141,8 @@ ExecutorOptions
 executorOptionsFromEnv()
 {
     ExecutorOptions opt;
-    if (const char *s = std::getenv("SKYBYTE_BACKOFF_MS")) {
-        // Digits only: strtoull would read "-1" as 2^64-1 and "x" as 0.
-        // An out-of-range value saturates, which waits forever.
-        const std::string text = s;
-        if (text.empty()
-            || text.find_first_not_of("0123456789") != std::string::npos)
-            throw std::invalid_argument(
-                "SKYBYTE_BACKOFF_MS expects an integer >= 0, got: " + text);
-        opt.backoffBaseMs = std::strtoull(s, nullptr, 10);
-    }
+    if (const char *s = std::getenv("SKYBYTE_BACKOFF_MS"))
+        opt.backoffBaseMs = parseCount("SKYBYTE_BACKOFF_MS", s);
     return opt;
 }
 

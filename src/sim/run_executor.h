@@ -113,7 +113,7 @@ struct ExecutorOptions
 /**
  * ExecutorOptions with backoffBaseMs from SKYBYTE_BACKOFF_MS.
  * @throws std::invalid_argument unless the variable is unset or a
- *         plain non-negative decimal integer.
+ *         plain non-negative decimal integer below 2^64.
  */
 ExecutorOptions executorOptionsFromEnv();
 

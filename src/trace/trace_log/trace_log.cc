@@ -489,6 +489,7 @@ TraceLogReader::seek(int tid, std::uint64_t record_index)
         return;
     }
     const std::uint64_t block_idx = record_index / blockRecords_;
+    t.cur.reset();
     t.cur = std::make_unique<DecodedBlock>(readBlock(tid, block_idx));
     t.curIdx = block_idx;
     t.pos = static_cast<std::size_t>(record_index
@@ -504,30 +505,19 @@ TraceLogReader::next(int tid, TraceRecord &rec)
     if (t.cur == nullptr || t.pos >= t.cur->records.size()) {
         const std::uint64_t next_idx =
             t.cur == nullptr ? t.curIdx : t.curIdx + 1;
-        if (next_idx >= t.blockOffsets.size()) {
-            t.cur.reset();
-            t.curIdx = t.blockOffsets.size();
-            return false;
-        }
-        t.cur = std::make_unique<DecodedBlock>(readBlock(tid,
-                                                         next_idx));
+        // Release the drained block before decoding its successor, so
+        // a cursor never holds more than one decoded block; a decode
+        // that throws leaves the cursor to retry the same block.
+        t.cur.reset();
         t.curIdx = next_idx;
         t.pos = 0;
+        if (next_idx >= t.blockOffsets.size())
+            return false;
+        t.cur = std::make_unique<DecodedBlock>(readBlock(tid,
+                                                         next_idx));
     }
     rec = t.cur->records[t.pos++];
     return true;
-}
-
-bool
-isTraceLogFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    char magic[8] = {};
-    in.read(magic, sizeof(magic));
-    return in.gcount() == sizeof(magic)
-           && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
 }
 
 } // namespace skybyte

@@ -1,7 +1,8 @@
 /**
  * @file
- * STRC: the seekable compressed trace-log format, the "real trace
- * pipeline" successor to the flat SKYTRC01 file (trace/trace_file.h).
+ * STRC: the seekable compressed trace-log format, the one on-disk
+ * capture format (written by skybyte_tracegen, replayed through the
+ * `tracelog:path=` workload spec).
  * A capture is a fixed header, per-thread record streams chunked into
  * independently decodable blocks, and a footer index that maps
  * (thread, record range) to a file offset so seek(tid, recordIndex)
@@ -148,8 +149,8 @@ std::uint64_t writeTraceLog(const std::string &path, Workload &workload,
 /**
  * STRC reader: header + footer index are parsed (and CRC-checked)
  * up front; record data is fetched one block at a time, either via
- * readBlock() or the per-thread seek()/next() cursor. Not
- * thread-safe — the replay workload gives it to one decode thread.
+ * readBlock() or the per-thread seek()/next() cursor, which holds at
+ * most one decoded block per thread. Not thread-safe.
  */
 class TraceLogReader
 {
@@ -225,9 +226,6 @@ class TraceLogReader
     std::vector<PerThread> threads_;
     std::uint64_t blocksDecoded_ = 0;
 };
-
-/** True when the file at @p path starts with the STRC magic. */
-bool isTraceLogFile(const std::string &path);
 
 } // namespace skybyte
 

@@ -1,36 +1,21 @@
 /**
  * @file
- * Streaming replay of STRC captures: a producer-consumer Workload
- * whose single background thread owns the TraceLogReader, decodes
- * blocks ahead of the simulation, and parks them in bounded
- * per-thread ring buffers. refill() only moves records out of an
- * already decoded block — it never touches the filesystem, so the
- * simulated cores never stall on I/O or decompression, and peak
- * memory is O(threads × ring depth) blocks regardless of trace size.
+ * Streaming replay of STRC captures: a Workload whose refill() pulls
+ * records through the TraceLogReader's per-thread cursor, decoding one
+ * block at a time on the caller's thread. Peak memory is one decoded
+ * block per simulated thread regardless of trace size.
  *
- * The record stream per thread is byte-identical to what
- * TraceFileWorkload yields for a flat capture of the same workload —
- * the fingerprint tests in tests/test_trace_log.cc pin that, which is
- * what makes the two encodings interchangeable in sweep specs.
- *
- * makeTraceReplayWorkload() sniffs the file magic and returns the
- * matching replay workload (STRC → TraceLogWorkload, flat SKYTRC01 →
- * TraceFileWorkload), so the `tracelog:path=...` spec replays either
- * encoding — CI uses that to diff sweep reports across formats
- * without the spec text (and thus the point labels) changing.
+ * The record stream per thread is the captured workload's stream; the
+ * fingerprint tests in tests/test_trace_log.cc pin that a System
+ * replaying a capture through `tracelog:path=...` is independent of
+ * the capture's block size.
  */
 
 #ifndef SKYBYTE_TRACE_TRACE_LOG_TRACE_LOG_WORKLOAD_H
 #define SKYBYTE_TRACE_TRACE_LOG_TRACE_LOG_WORKLOAD_H
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "trace/trace_log/trace_log.h"
@@ -38,73 +23,36 @@
 
 namespace skybyte {
 
-/** Producer-consumer replay of one STRC capture. */
+/** Replay of one STRC capture. */
 class TraceLogWorkload : public Workload
 {
   public:
-    /** Decoded blocks buffered per thread before the producer waits. */
-    static constexpr std::size_t kDefaultRingBlocks = 4;
+    /** @throws TraceLogError / std::runtime_error on a missing, foreign
+     *  or corrupt capture (the message names @p path). */
+    explicit TraceLogWorkload(const std::string &path);
 
-    /** @throws TraceLogError / std::runtime_error on a bad capture. */
-    explicit TraceLogWorkload(const std::string &path,
-                              std::size_t ring_blocks =
-                                  kDefaultRingBlocks);
-    ~TraceLogWorkload() override;
-
-    std::string name() const override { return name_; }
-    std::uint64_t footprintBytes() const override { return footprint_; }
-    int numThreads() const override
+    std::string name() const override { return reader_.name(); }
+    std::uint64_t footprintBytes() const override
     {
-        return static_cast<int>(rings_.size());
+        return reader_.footprintBytes();
     }
+    int numThreads() const override { return reader_.numThreads(); }
     std::uint32_t refill(int tid, TraceBatch &batch) override;
     std::uint64_t instructionsEmitted(int tid) const override
     {
         return emitted_[static_cast<std::size_t>(tid)];
     }
 
-    /** Blocks the producer has decoded so far (monotonic). */
-    std::uint64_t blocksDecoded() const;
+    /** Blocks decoded so far (monotonic). */
+    std::uint64_t blocksDecoded() const
+    {
+        return reader_.blocksDecoded();
+    }
 
   private:
-    struct Ring
-    {
-        std::deque<DecodedBlock> blocks;
-        bool done = false; ///< producer has delivered the last block
-    };
-
-    void producerLoop();
-
-    std::string name_;
-    std::uint64_t footprint_ = 0;
-    std::size_t ringBlocks_;
-
-    mutable std::mutex mu_;
-    std::condition_variable producerCv_; ///< space freed / stop
-    std::condition_variable consumerCv_; ///< block delivered / done
-    std::vector<Ring> rings_;
-    std::exception_ptr error_;
-    bool stop_ = false;
-    std::uint64_t blocksDecoded_ = 0;
-
-    /** @name Consumer-side state (one simulated thread each). @{ */
-    std::vector<std::unique_ptr<DecodedBlock>> cur_;
-    std::vector<std::size_t> pos_;
+    TraceLogReader reader_;
     std::vector<std::uint64_t> emitted_;
-    /** @} */
-
-    std::unique_ptr<TraceLogReader> reader_; ///< producer-owned
-    std::thread producer_;
 };
-
-/**
- * Open a capture for replay, sniffing the format from the file magic:
- * STRC → streaming TraceLogWorkload, flat SKYTRC01 →
- * TraceFileWorkload.
- * @throws std::runtime_error when the file has neither magic.
- */
-std::unique_ptr<Workload>
-makeTraceReplayWorkload(const std::string &path);
 
 } // namespace skybyte
 

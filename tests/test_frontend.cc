@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the tooling front end: the artifact-style config-file
- * parser, the variant presets, the experiment options, and the JSON /
- * summary reporters.
+ * parser, strict numeric flag/env parsing, the variant presets, the
+ * experiment options, and the JSON / summary reporters.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/parse.h"
 #include "sim/config_file.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
@@ -263,6 +264,93 @@ TEST(ExperimentOptions, EnvOverrides)
     unsetenv("SKYBYTE_BENCH_INSTR");
     unsetenv("SKYBYTE_BENCH_THREADS");
     unsetenv("SKYBYTE_BENCH_FOOTPRINT_MB");
+}
+
+TEST(Parse, CountAcceptsDigitsInRangeOnly)
+{
+    EXPECT_EQ(parseCount("-n", "0", 10), 0u);
+    EXPECT_EQ(parseCount("-n", "10", 10), 10u);
+    EXPECT_EQ(parseCount("-i", "18446744073709551615"),
+              18446744073709551615ULL);
+    for (const char *bad :
+         {"", "abc", "-1", "+1", " 5", "5 ", "1e3", "0x10", "11",
+          "18446744073709551616"}) {
+        try {
+            parseCount("--flag", bad, 10);
+            ADD_FAILURE() << '"' << bad << '"';
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("--flag"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Parse, NonNegativeRejectsTrailingTextAndNegatives)
+{
+    EXPECT_DOUBLE_EQ(parseNonNegative("--tol", "0.01"), 0.01);
+    EXPECT_DOUBLE_EQ(parseNonNegative("--tol", "3"), 3.0);
+    for (const char *bad : {"", "x", "-1", "1s", "inf", "nan"}) {
+        EXPECT_THROW(parseNonNegative("--tol", bad),
+                     std::invalid_argument)
+            << '"' << bad << '"';
+    }
+}
+
+TEST(Parse, MegabytesOverflowIsAnError)
+{
+    EXPECT_EQ(parseMegabytes("-m", "3"), 3u * 1024 * 1024);
+    // (2^64 - 1) >> 20 is the largest MiB count that fits in bytes.
+    EXPECT_EQ(parseMegabytes("-m", "17592186044415"),
+              17592186044415ULL * 1024 * 1024);
+    // 2^44 MiB is 2^64 bytes: it used to wrap to a 0-byte footprint.
+    EXPECT_THROW(parseMegabytes("-m", "17592186044416"),
+                 std::invalid_argument);
+    EXPECT_THROW(parseMegabytes("-m", "-1"), std::invalid_argument);
+}
+
+/** Set one variable for a scope, then unset it again. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv() { unsetenv(name_); }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+};
+
+TEST(ExperimentOptions, EnvRejectsMalformedValuesNamingTheVariable)
+{
+    const struct
+    {
+        const char *name;
+        const char *value;
+    } cases[] = {
+        {"SKYBYTE_BENCH_INSTR", "abc"},
+        {"SKYBYTE_BENCH_INSTR", "-1"},
+        {"SKYBYTE_BENCH_INSTR", "18446744073709551615"},
+        {"SKYBYTE_BENCH_THREADS", "5x"},
+        {"SKYBYTE_BENCH_THREADS", "4294967301"},
+        {"SKYBYTE_BENCH_FOOTPRINT_MB", ""},
+        {"SKYBYTE_BENCH_FOOTPRINT_MB", "17592186044416"},
+    };
+    for (const auto &c : cases) {
+        ScopedEnv env(c.name, c.value);
+        try {
+            ExperimentOptions::fromEnv();
+            ADD_FAILURE() << c.name << "=" << c.value;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(c.name),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Report, JsonContainsKeyFields)

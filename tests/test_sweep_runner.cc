@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -124,6 +125,26 @@ TEST(SweepRunner, EmptyAndThreadCountResolution)
     EXPECT_EQ(sweepThreads(3, 10), 3);
     EXPECT_EQ(sweepThreads(8, 2), 2);  // never more workers than points
     EXPECT_GE(sweepThreads(0, 10), 1); // env/hardware fallback
+}
+
+// Only sweepThreads()'s returned count is checked: no pool is started.
+TEST(SweepRunner, NthreadsEnvIsParsedStrictly)
+{
+    setenv("SKYBYTE_BENCH_NTHREADS", "3", 1);
+    EXPECT_EQ(sweepThreads(0, 10), 3);
+    EXPECT_EQ(sweepThreads(2, 10), 2); // an explicit count wins
+    for (const char *bad : {"abc", "-1", "3x", "", "4294967299"}) {
+        setenv("SKYBYTE_BENCH_NTHREADS", bad, 1);
+        try {
+            sweepThreads(0, 10);
+            ADD_FAILURE() << '"' << bad << '"';
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("SKYBYTE_BENCH_NTHREADS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    unsetenv("SKYBYTE_BENCH_NTHREADS");
 }
 
 } // namespace

@@ -68,6 +68,7 @@
 #include <vector>
 
 #include "common/fs.h"
+#include "common/parse.h"
 #include "sim/report.h"
 #include "sim/run_executor.h"
 #include "sim/sweep.h"
@@ -136,49 +137,6 @@ writeReport(const SweepReport &report, const std::string &path)
     }
     writeFileAtomic(path, text);
     std::fprintf(stderr, "wrote %s\n", path.c_str());
-}
-
-/**
- * @p text as a decimal integer in [0, @p max]: digits only, so a
- * negative value cannot wrap the way std::stoul would wrap "-1".
- */
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text,
-           std::uint64_t max)
-{
-    const std::string err =
-        flag + " expects an integer in [0, " + std::to_string(max)
-        + "], got: " + text;
-    if (text.empty()
-        || text.find_first_not_of("0123456789") != std::string::npos)
-        throw std::invalid_argument(err);
-    std::uint64_t v = 0;
-    try {
-        v = std::stoull(text, nullptr, 10);
-    } catch (const std::exception &) {
-        throw std::invalid_argument(err);
-    }
-    if (v > max)
-        throw std::invalid_argument(err);
-    return v;
-}
-
-/** @p text as a finite number >= 0 with no trailing characters. */
-double
-parseNonNegative(const std::string &flag, const std::string &text)
-{
-    const std::string err =
-        flag + " expects a finite number >= 0, got: " + text;
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(text, &used);
-    } catch (const std::exception &) {
-        throw std::invalid_argument(err);
-    }
-    if (used != text.size() || !std::isfinite(v) || v < 0.0)
-        throw std::invalid_argument(err);
-    return v;
 }
 
 /** Seconds to whole milliseconds, rounded up and saturating. */

@@ -2,31 +2,28 @@
  * @file
  * Trace generator, standing in for the artifact's PIN capture pipeline
  * (appendix §G "Capturing Custom Program's Traces"): renders any
- * registered workload spec into the binary trace file format of
- * src/trace/trace_file.h so it can be replayed repeatedly — by
- * skybyte_sim, by TraceFileWorkload-based experiments, or by
- * skybyte_traceinfo for offline analysis. The workload is drained
- * through the batched TraceBatch contract (TraceCursor per thread).
+ * registered workload spec into an STRC capture (the seekable
+ * compressed trace log of trace/trace_log/trace_log.h) so it can be
+ * replayed repeatedly — through the "tracelog:path=..." workload spec,
+ * by TraceLogWorkload-based experiments, or by skybyte_traceinfo for
+ * offline analysis. The workload is drained through the batched
+ * TraceBatch contract (TraceCursor per thread).
  *
  *   skybyte_tracegen -w <workload-spec> -o <path> [-n threads]
  *                    [-i instr-per-thread] [-m footprint-mb] [-s seed]
- *                    [--format=flat|tracelog] [--block-records=N]
+ *                    [--block-records=N]
  *
  * <workload-spec> is a registered name, optionally parameterized:
  * "ycsb", "zipf:theta=0.99,footprint=64M", ...
- *
- * --format=tracelog writes the seekable compressed STRC format
- * (trace/trace_log/trace_log.h) instead of the flat SKYTRC01 file;
- * both replay through the same "tracelog:path=..." workload spec.
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "common/parse.h"
 #include "trace/mix_workload.h"
-#include "trace/trace_file.h"
 #include "trace/trace_log/trace_log.h"
 #include "trace/workload.h"
 
@@ -43,8 +40,7 @@ usage()
         " [-n threads]\n"
         "                        [-i instr-per-thread] [-m footprint-mb]"
         " [-s seed]\n"
-        "                        [--format=flat|tracelog]"
-        " [--block-records=N]\n"
+        "                        [--block-records=N]\n"
         "workload specs: name[:key=value,...], e.g."
         " zipf:theta=0.99,footprint=64M\n"
         "co-location:    mix:tenant=spec[;tenant=spec]..., e.g."
@@ -61,7 +57,6 @@ main(int argc, char **argv)
 {
     std::string workload_name;
     std::string out_path;
-    std::string format = "flat";
     std::uint32_t block_records = kTraceLogDefaultBlockRecords;
     WorkloadParams params;
     params.instrPerThread = 200'000;
@@ -80,26 +75,24 @@ main(int argc, char **argv)
             } else if (arg == "-o") {
                 out_path = next();
             } else if (arg == "-n") {
-                params.numThreads = std::stoi(next());
+                params.numThreads =
+                    static_cast<int>(parseCount(arg, next(), 65536));
             } else if (arg == "-i") {
-                params.instrPerThread = std::stoull(next());
+                params.instrPerThread = parseCount(arg, next());
             } else if (arg == "-m") {
-                params.footprintBytes =
-                    std::stoull(next()) * 1024 * 1024;
+                params.footprintBytes = parseMegabytes(arg, next());
             } else if (arg == "-s") {
-                params.seed = std::stoull(next());
-            } else if (arg.rfind("--format=", 0) == 0) {
-                format = arg.substr(9);
+                params.seed = parseCount(arg, next());
             } else if (arg.rfind("--block-records=", 0) == 0) {
-                block_records = static_cast<std::uint32_t>(
-                    std::stoul(arg.substr(16)));
+                block_records = static_cast<std::uint32_t>(parseCount(
+                    "--block-records", arg.substr(16),
+                    std::numeric_limits<std::uint32_t>::max()));
             } else {
                 usage();
                 return 2;
             }
         }
-        if (workload_name.empty() || out_path.empty()
-            || (format != "flat" && format != "tracelog")) {
+        if (workload_name.empty() || out_path.empty()) {
             usage();
             return 2;
         }
@@ -113,16 +106,14 @@ main(int argc, char **argv)
                 std::fputs(describeMixTenant(t).c_str(), stdout);
         }
         const std::uint64_t records =
-            format == "tracelog"
-                ? writeTraceLog(out_path, *workload, block_records)
-                : writeTraceFile(out_path, *workload);
+            writeTraceLog(out_path, *workload, block_records);
         std::printf("wrote %llu records (%d threads, %s, %.1f MB "
-                    "footprint, %s) to %s\n",
+                    "footprint) to %s\n",
                     static_cast<unsigned long long>(records),
                     workload->numThreads(), workload->name().c_str(),
                     static_cast<double>(workload->footprintBytes())
                         / (1024.0 * 1024.0),
-                    format.c_str(), out_path.c_str());
+                    out_path.c_str());
     } catch (const std::exception &e) {
         std::fprintf(stderr, "skybyte_tracegen: %s\n", e.what());
         return 1;

@@ -11,18 +11,17 @@
  *   skybyte_traceinfo -w <workload-spec> [-n threads] [-i instr] [-m mb]
  *
  * <workload-spec> is any registered workload spec string ("ycsb",
- * "scan:stride=256", ...); trace files may be either the flat
- * SKYTRC01 format or the seekable compressed STRC log (sniffed by
- * magic). For an STRC capture a block/index/compression stats section
- * is printed ahead of the workload statistics.
+ * "scan:stride=256", ...); a trace file is an STRC capture from
+ * skybyte_tracegen, whose block/index/compression stats are printed
+ * ahead of the workload statistics.
  */
 
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 
+#include "common/parse.h"
 #include "trace/mix_workload.h"
-#include "trace/trace_file.h"
 #include "trace/trace_log/trace_log.h"
 #include "trace/trace_log/trace_log_workload.h"
 #include "trace/trace_stats.h"
@@ -118,14 +117,14 @@ main(int argc, char **argv)
             if (arg == "-w") {
                 workload_name = next();
             } else if (arg == "-n") {
-                params.numThreads = std::stoi(next());
+                params.numThreads =
+                    static_cast<int>(parseCount(arg, next(), 65536));
             } else if (arg == "-i") {
-                params.instrPerThread = std::stoull(next());
+                params.instrPerThread = parseCount(arg, next());
             } else if (arg == "-m") {
-                params.footprintBytes =
-                    std::stoull(next()) * 1024 * 1024;
+                params.footprintBytes = parseMegabytes(arg, next());
             } else if (arg == "-s") {
-                params.seed = std::stoull(next());
+                params.seed = parseCount(arg, next());
             } else if (arg[0] != '-') {
                 trace_path = arg;
             } else {
@@ -140,9 +139,8 @@ main(int argc, char **argv)
         std::unique_ptr<Workload> workload;
         std::string name;
         if (!trace_path.empty()) {
-            if (isTraceLogFile(trace_path))
-                printTraceLogStats(trace_path);
-            workload = makeTraceReplayWorkload(trace_path);
+            printTraceLogStats(trace_path);
+            workload = std::make_unique<TraceLogWorkload>(trace_path);
             name = trace_path;
         } else {
             workload = makeWorkload(workload_name, params);
