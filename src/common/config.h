@@ -53,6 +53,12 @@ struct CacheConfig
 /** CPU complex parameters (Table II). */
 struct CpuConfig
 {
+    /**
+     * Most cores a config key or flag may ask for: each core sizes its
+     * own L1/L2 arrays, so the range is bounded (parseCoreCount).
+     */
+    static constexpr int kMaxCores = 256;
+
     int numCores = 8;
     std::uint32_t robEntries = 256;
     std::uint32_t issueWidth = 4;     ///< instructions per cycle
@@ -327,6 +333,12 @@ struct SimConfig
      * simulator, including ... the SSD DRAM cache").
      */
     bool warmupSsdCache = true;
+    /**
+     * Check every load's value against a shadow of memory
+     * (sim/data_oracle.h). Observation only: results are identical
+     * with it on or off.
+     */
+    bool checkData = false;
     std::uint64_t seed = 42;
 };
 

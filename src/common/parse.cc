@@ -9,7 +9,15 @@ std::uint64_t
 parseCount(const std::string &name, const std::string &text,
            std::uint64_t max)
 {
-    const std::string err = name + " expects an integer in [0, "
+    return parseCountInRange(name, text, 0, max);
+}
+
+std::uint64_t
+parseCountInRange(const std::string &name, const std::string &text,
+                  std::uint64_t min, std::uint64_t max)
+{
+    const std::string err = name + " expects an integer in ["
+                            + std::to_string(min) + ", "
                             + std::to_string(max) + "], got: " + text;
     if (text.empty()
         || text.find_first_not_of("0123456789") != std::string::npos)
@@ -20,7 +28,7 @@ parseCount(const std::string &name, const std::string &text,
     } catch (const std::exception &) {
         throw std::invalid_argument(err); // beyond 2^64-1
     }
-    if (v > max)
+    if (v < min || v > max)
         throw std::invalid_argument(err);
     return v;
 }

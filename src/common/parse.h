@@ -25,6 +25,14 @@ std::uint64_t parseCount(const std::string &name, const std::string &text,
                              std::numeric_limits<std::uint64_t>::max());
 
 /**
+ * @p text as a decimal integer in [@p min, @p max]: digits only.
+ * @throws std::invalid_argument naming @p name otherwise.
+ */
+std::uint64_t parseCountInRange(const std::string &name,
+                                const std::string &text, std::uint64_t min,
+                                std::uint64_t max);
+
+/**
  * @p text as a finite number >= 0 with no trailing characters.
  * @throws std::invalid_argument naming @p name otherwise.
  */

@@ -50,6 +50,7 @@ SsdController::addWaiter(PendingFetch &pf, std::uint32_t off,
     Waiter *w = waiterSlab_.alloc();
     w->lineOff = off;
     w->readyAt = ready_at;
+    w->buffered = bufferedLine(pf, off);
     w->cb = std::move(cb);
     pf.waiters.append(w);
 }
@@ -72,6 +73,18 @@ SsdController::addPendingWrite(PendingFetch &pf, std::uint32_t off,
     wr->off = off;
     wr->value = value;
     pf.pendingWrites.append(wr);
+}
+
+std::optional<LineValue>
+SsdController::bufferedLine(const PendingFetch &pf, std::uint32_t off)
+{
+    std::optional<LineValue> newest;
+    for (const PendingWrite *wr = pf.pendingWrites.head; wr != nullptr;
+         wr = wr->next) {
+        if (wr->off == off)
+            newest = wr->value;
+    }
+    return newest;
 }
 
 void
@@ -418,7 +431,7 @@ SsdController::respondLine(Waiter &w, std::uint64_t lpn, Tick t_page,
     MemResponse resp;
     resp.kind = MemResponseKind::Data;
     resp.lineAddr = line_addr;
-    resp.value = data[w.lineOff];
+    resp.value = w.buffered.value_or(data[w.lineOff]);
     eq_.schedule(t_resp,
                  [cb = std::move(w.cb), resp]() mutable { cb(resp); });
 }
@@ -451,8 +464,8 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
     handleEviction(ev, ev.dirty ? &victim_data : nullptr, t_ins);
 
     // Waiters respond from the fetched snapshot, BEFORE the buffered
-    // write-allocate lines apply: those writes arrived after the reads
-    // they would otherwise leak into.
+    // write-allocate lines apply: a read sees only the buffered writes
+    // that arrived before it joined the fetch (Waiter::buffered).
     for (Waiter *w = pf->waiters.head; w != nullptr; w = w->next) {
         page->touchedMask |= 1ULL << w->lineOff;
         respondLine(*w, lpn, t_ins, page->data);
@@ -473,7 +486,7 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
 
     // Base-CSSD write-allocate: apply buffered line writes.
     if (!pf->pendingWrites.empty()) {
-        PageData &flash = ftl_.pageData(lpn);
+        PageData &flash = ftl_.mutablePageData(lpn);
         for (PendingWrite *wr = pf->pendingWrites.head; wr != nullptr;
              wr = wr->next) {
             page->data[wr->off] = wr->value;
@@ -541,7 +554,7 @@ SsdController::write(Addr dev_line_addr, LineValue value, Tick when)
         page->dirtyMask |= 1ULL << off;
         page->touchedMask |= 1ULL << off;
         dram_.serviceAt(t_idx, kCachelineBytes, dev_line_addr);
-        ftl_.pageData(lpn)[off] = value;
+        ftl_.mutablePageData(lpn)[off] = value;
         return;
     }
     if (PendingFetch **slot = fetches_.find(lpn)) {
@@ -753,8 +766,14 @@ SsdController::peekLine(Addr dev_line_addr)
         if (auto v = log_->lookup(dev_line_addr))
             return *v;
     }
-    if (const CachedPage *page = cache_.probe(pageNumber(dev_line_addr)))
-        return page->data[lineInPage(dev_line_addr)];
+    const std::uint64_t lpn = pageNumber(dev_line_addr);
+    const std::uint32_t off = lineInPage(dev_line_addr);
+    if (const CachedPage *page = cache_.probe(lpn))
+        return page->data[off];
+    if (PendingFetch *const *slot = fetches_.find(lpn)) {
+        if (auto v = bufferedLine(**slot, off))
+            return *v;
+    }
     return ftl_.peekLine(dev_line_addr);
 }
 

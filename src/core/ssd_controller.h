@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/config.h"
@@ -170,7 +171,10 @@ class SsdController
         hotPageHook_ = std::move(hook);
     }
 
-    /** Functional single-line peek through log, cache, then flash. */
+    /**
+     * Functional single-line peek through log, cache, a write-allocate
+     * line buffered on a pending fetch, then flash.
+     */
     LineValue peekLine(Addr dev_line_addr);
 
     /**
@@ -223,6 +227,8 @@ class SsdController
         Waiter *next = nullptr;
         std::uint32_t lineOff = 0;
         Tick readyAt = 0; ///< time the request finished indexing
+        /** Newest write of the line buffered on the fetch at join. */
+        std::optional<LineValue> buffered;
         MemCallback cb;
     };
 
@@ -263,7 +269,10 @@ class SsdController
     /** Start (or join) the flash fetch of @p lpn at device time @p t. */
     PendingFetch *startFetch(std::uint64_t lpn, Tick t, bool prefetch);
 
-    /** Append a line waiter to @p pf (FIFO). */
+    /**
+     * Append a line waiter to @p pf (FIFO). It answers with the newest
+     * write of its line already buffered on @p pf, if there is one.
+     */
     void addWaiter(PendingFetch &pf, std::uint32_t off, Tick ready_at,
                    MemCallback cb);
 
@@ -273,6 +282,10 @@ class SsdController
     /** Append a buffered write-allocate line to @p pf (FIFO). */
     void addPendingWrite(PendingFetch &pf, std::uint32_t off,
                          LineValue value);
+
+    /** Newest write of line @p off buffered on @p pf, if any. */
+    static std::optional<LineValue> bufferedLine(const PendingFetch &pf,
+                                                 std::uint32_t off);
 
     /** Destroy a fetch record and its chains (drops callbacks). */
     void releaseFetch(PendingFetch *pf);

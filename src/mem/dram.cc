@@ -111,7 +111,7 @@ DramModel::write(const MemRequest &req, Tick when)
 {
     writes_++;
     serviceAt(when, kCachelineBytes, req.lineAddr);
-    store_[req.lineAddr] = req.value;
+    poke(req.lineAddr, req.value);
 }
 
 LineValue
@@ -124,7 +124,12 @@ DramModel::peek(Addr line_addr) const
 void
 DramModel::poke(Addr line_addr, LineValue value)
 {
-    store_[line_addr] = value;
+    // Absent reads as 0, so a zero line needs no entry: migration
+    // copies whole pages, and most of their lines were never written.
+    if (value == 0)
+        store_.erase(line_addr);
+    else
+        store_[line_addr] = value;
 }
 
 } // namespace skybyte

@@ -6,7 +6,8 @@
  * enabling DramBankTiming switches to a bank/row-buffer model built from
  * Table II's speed grades (row hits pay CL, row misses tRCD+CL, row
  * conflicts tRP+tRCD+CL, banks serialize their own accesses). The
- * functional side is a sparse map of cacheline payloads either way.
+ * functional side is a sparse map of the nonzero cacheline payloads
+ * either way: a line without an entry reads as 0.
  */
 
 #ifndef SKYBYTE_MEM_DRAM_H
@@ -65,8 +66,14 @@ class DramModel : public MemoryBackend
     /** Functional peek (tests / migration copies). */
     LineValue peek(Addr line_addr) const;
 
-    /** Functional poke (migration copies, preconditioning). */
+    /**
+     * Functional poke (migration copies, preconditioning). Poking 0
+     * erases the line's entry.
+     */
     void poke(Addr line_addr, LineValue value);
+
+    /** Lines holding a nonzero payload (tests). */
+    std::size_t storedLines() const { return store_.size(); }
 
     std::uint64_t reads() const { return reads_; }
     std::uint64_t writes() const { return writes_; }
@@ -99,7 +106,10 @@ class DramModel : public MemoryBackend
     DramBankTiming bank_;
     std::vector<Tick> channelFree_;
     std::vector<Bank> banks_; ///< channels x banksPerChannel
-    /** Sparse functional payload store, probed once per DRAM access. */
+    /**
+     * Sparse functional payload store, probed once per DRAM access.
+     * Holds nonzero lines only (see poke()).
+     */
     FlatMap<LineValue> store_;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

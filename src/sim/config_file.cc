@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.h"
 #include "trace/mix_workload.h"
 
 namespace skybyte {
@@ -106,7 +107,7 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
     } else if (key == "flash_type") {
         cfg.flash.timing = nandTiming(parseNand(value));
     } else if (key == "num_cores") {
-        cfg.cpu.numCores = static_cast<int>(parseU64(value, key));
+        cfg.cpu.numCores = parseCoreCount(key, value);
     } else if (key == "rob_entries") {
         cfg.cpu.robEntries =
             static_cast<std::uint32_t>(parseU64(value, key));
@@ -203,6 +204,8 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
         cfg.preconditionSsd = parseBool(value, key);
     } else if (key == "warmup") {
         cfg.warmupSsdCache = parseBool(value, key);
+    } else if (key == "check_data") {
+        cfg.checkData = parseBool(value, key);
     } else if (key == "seed") {
         cfg.seed = parseU64(value, key);
         spec.params.seed = cfg.seed;
@@ -236,6 +239,13 @@ applyAssignment(const std::string &assignment, ExperimentSpec &spec)
     } else {
         throw std::invalid_argument("unknown config key: " + key);
     }
+}
+
+int
+parseCoreCount(const std::string &name, const std::string &text)
+{
+    return static_cast<int>(
+        parseCountInRange(name, text, 1, CpuConfig::kMaxCores));
 }
 
 void

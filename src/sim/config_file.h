@@ -10,10 +10,11 @@
  *   ssd_cache_size_byte=8388608   ssd_cache_way=16
  *   host_dram_size_byte=33554432  t_policy=FAIRNESS        (RR|RANDOM|FAIRNESS)
  *   write_log_size_byte=1048576   flash_type=ULL           (ULL|ULL2|SLC|MLC)
- *   num_cores=8                   rob_entries=256
+ *   num_cores=8      (1..256)     rob_entries=256
  *   workload=ycsb                 num_threads=24
  *   instr_per_thread=100000       footprint_byte=134217728
  *   seed=42                       dram_only=0
+ *   check_data=0                  (1: check every load; sim/data_oracle.h)
  *
  * workload= accepts any registered workload spec string
  * (trace/workload_spec.h), so parameterized synthetic scenarios work
@@ -61,6 +62,13 @@ void applyConfigFile(const std::string &path, ExperimentSpec &spec);
 
 /** Apply a single "key=value" assignment (CLI -k overrides). */
 void applyAssignment(const std::string &assignment, ExperimentSpec &spec);
+
+/**
+ * @p text as a simulated core count in [1, CpuConfig::kMaxCores], for
+ * the num_cores key and skybyte_sim's -c flag.
+ * @throws std::invalid_argument naming @p name otherwise.
+ */
+int parseCoreCount(const std::string &name, const std::string &text);
 
 } // namespace skybyte
 

@@ -6,6 +6,12 @@
 
 namespace skybyte {
 
+MemRouter::MemRouter(System &sys) : sys_(sys)
+{
+    if (sys_.cfg_.checkData)
+        oracle_ = std::make_unique<DataOracle>();
+}
+
 void
 MemRouter::noteHost(Addr vaddr, bool is_write)
 {
@@ -28,6 +34,14 @@ void
 MemRouter::read(const MemRequest &req, Tick when, MemCallback cb)
 {
     const Addr vaddr = req.lineAddr;
+    if (oracle_ != nullptr) {
+        cb = [oracle = oracle_.get(), ticket = oracle_->onRead(vaddr),
+              inner = std::move(cb)](const MemResponse &resp) mutable {
+            oracle->finish(ticket, resp.kind == MemResponseKind::Data,
+                           resp.value);
+            inner(resp);
+        };
+    }
     if (sys_.cfg_.dramOnly || !sys_.isDeviceAddr(vaddr)) {
         noteHost(vaddr, false);
         // readAt() reports the completion tick, so the latency sum is
@@ -72,6 +86,8 @@ void
 MemRouter::write(const MemRequest &req, Tick when)
 {
     const Addr vaddr = req.lineAddr;
+    if (oracle_ != nullptr)
+        oracle_->onWrite(vaddr, req.value);
     if (sys_.cfg_.dramOnly || !sys_.isDeviceAddr(vaddr)) {
         noteHost(vaddr, true);
         sys_.hostDram_->write(req, when);

@@ -28,6 +28,7 @@
 #include "cpu/uncore.h"
 #include "cxl/cxl.h"
 #include "mem/dram.h"
+#include "sim/data_oracle.h"
 #include "trace/workload.h"
 
 namespace skybyte {
@@ -239,7 +240,8 @@ class MixWorkload;
 class MemRouter : public MemoryBackend
 {
   public:
-    explicit MemRouter(System &sys) : sys_(sys) {}
+    /** Arms the data oracle when the system's config has checkData. */
+    explicit MemRouter(System &sys);
 
     void read(const MemRequest &req, Tick when, MemCallback cb) override;
     void write(const MemRequest &req, Tick when) override;
@@ -247,6 +249,9 @@ class MemRouter : public MemoryBackend
     std::uint64_t hostReads() const { return hostReads_; }
     std::uint64_t hostWrites() const { return hostWrites_; }
     double hostReadTicks() const { return hostReadTicks_; }
+
+    /** The data oracle, or nullptr when checkData is off. */
+    const DataOracle *dataOracle() const { return oracle_.get(); }
 
     /** Enable per-tenant host-DRAM request buckets (mix runs). */
     void
@@ -270,6 +275,7 @@ class MemRouter : public MemoryBackend
     void noteHost(Addr vaddr, bool is_write);
 
     System &sys_;
+    std::unique_ptr<DataOracle> oracle_;
     std::uint64_t hostReads_ = 0;
     std::uint64_t hostWrites_ = 0;
     double hostReadTicks_ = 0;
@@ -330,6 +336,7 @@ class System
     Workload &workload() { return *workload_; }
     const SimConfig &config() const { return cfg_; }
     CxlAwareScheduler &scheduler() { return *sched_; }
+    const DataOracle *dataOracle() const { return router_->dataOracle(); }
     /** @} */
 
     /** Address routing helpers used by MemRouter. @{ */

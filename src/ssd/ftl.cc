@@ -18,6 +18,9 @@ checkHostLpn(std::uint64_t lpn)
                       + " reaches the cold LPN range");
 }
 
+/** What pageData() returns for a page without storage. */
+const PageData kZeroPage{};
+
 } // namespace
 
 Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed)
@@ -183,7 +186,12 @@ Ftl::writePage(std::uint64_t lpn, Tick when, const PageData &data,
     Channel &ch = channels_[channelIdx(lpn)];
     invalidate(lpn);
     mapToOpenBlock(ch, lpn);
-    pageData(lpn) = data;
+    const bool stored = lpn < data_.size() && data_[lpn] != nullptr;
+    if (stored
+        || std::any_of(data.begin(), data.end(),
+                       [](LineValue v) { return v != 0; })) {
+        mutablePageData(lpn) = data;
+    }
     stats_.hostPrograms++;
     const std::uint32_t ch_idx = channelIdx(lpn);
     ch.flash->enqueue(FlashOpKind::Program, when,
@@ -383,8 +391,17 @@ Ftl::wearSummary() const
     return summary;
 }
 
+const PageData &
+Ftl::pageData(std::uint64_t lpn) const
+{
+    checkHostLpn(lpn);
+    if (lpn >= data_.size() || !data_[lpn])
+        return kZeroPage;
+    return *data_[lpn];
+}
+
 PageData &
-Ftl::pageData(std::uint64_t lpn)
+Ftl::mutablePageData(std::uint64_t lpn)
 {
     checkHostLpn(lpn);
     if (lpn >= data_.size())
@@ -396,12 +413,17 @@ Ftl::pageData(std::uint64_t lpn)
 }
 
 LineValue
-Ftl::peekLine(Addr line_addr)
+Ftl::peekLine(Addr line_addr) const
 {
-    const std::uint64_t lpn = pageNumber(line_addr);
-    if (lpn >= data_.size() || !data_[lpn])
-        return 0;
-    return (*data_[lpn])[lineInPage(line_addr)];
+    return pageData(pageNumber(line_addr))[lineInPage(line_addr)];
+}
+
+std::uint64_t
+Ftl::storedPages() const
+{
+    return static_cast<std::uint64_t>(
+        std::count_if(data_.begin(), data_.end(),
+                      [](const auto &page) { return page != nullptr; }));
 }
 
 } // namespace skybyte

@@ -2,9 +2,10 @@
  * @file
  * Page-mapped flash translation layer with out-of-place updates and
  * greedy (min-valid-cost) garbage collection, plus the functional page
- * store. Logical pages stripe across channels; each channel appends into
- * an open block and GCs locally, with GC operations sharing the channel
- * FIFO so they delay host requests (§II-C).
+ * store, which stores only pages that have held a nonzero line. Logical
+ * pages stripe across channels; each channel appends into an open block
+ * and GCs locally, with GC operations sharing the channel FIFO so they
+ * delay host requests (§II-C).
  */
 
 #ifndef SKYBYTE_SSD_FTL_H
@@ -43,8 +44,8 @@ class Ftl
 
     /**
      * Cold preconditioning data lives at and above this LPN. Host LPNs
-     * must stay below it: readPage, writePage and pageData throw
-     * std::logic_error otherwise.
+     * must stay below it: readPage, writePage, pageData and
+     * mutablePageData throw std::logic_error otherwise.
      */
     static constexpr std::uint64_t kColdLpnBase = 1ULL << 40;
 
@@ -58,6 +59,8 @@ class Ftl
     /**
      * Program logical page @p lpn (out-of-place) at @p when with new
      * contents @p data; @p cb fires at completion. May trigger GC.
+     * An all-zero @p data allocates no page storage unless the page
+     * already has some.
      */
     void writePage(std::uint64_t lpn, Tick when, const PageData &data,
                    FlashDoneFn cb);
@@ -80,11 +83,25 @@ class Ftl
     void precondition(std::uint64_t footprint_pages,
                       double rewrite_fraction = 0.3);
 
-    /** Functional page contents (zero-filled on first touch). */
-    PageData &pageData(std::uint64_t lpn);
+    /**
+     * Functional page contents. A page that never held a nonzero line
+     * has no storage and reads as one shared zero page, so reading
+     * allocates nothing.
+     */
+    const PageData &pageData(std::uint64_t lpn) const;
+
+    /**
+     * Writable page contents, allocated zero-filled on first use, for
+     * the write paths only. The reference stays valid for the Ftl's
+     * lifetime: pages are never moved or freed.
+     */
+    PageData &mutablePageData(std::uint64_t lpn);
 
     /** Functional single-line peek. */
-    LineValue peekLine(Addr line_addr);
+    LineValue peekLine(Addr line_addr) const;
+
+    /** Pages with allocated payload storage (tests). */
+    std::uint64_t storedPages() const;
 
     const FtlStats &stats() const { return stats_; }
     const FlashConfig &config() const { return cfg_; }
@@ -186,9 +203,9 @@ class Ftl
     std::vector<std::uint32_t> hostMap_;
     std::vector<std::uint32_t> coldMap_;
     /**
-     * Functional page store, indexed by host LPN. unique_ptrs keep the
-     * pages that pageData() hands out references to in place when the
-     * array grows.
+     * Functional page store, indexed by host LPN; null for a page that
+     * never held a nonzero line. Pages live on the heap so the
+     * references mutablePageData() hands out survive the array growing.
      */
     std::vector<std::unique_ptr<PageData>> data_;
     FtlStats stats_;

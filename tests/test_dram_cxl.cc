@@ -73,6 +73,33 @@ TEST(Dram, FunctionalStoreReadsBack)
     EXPECT_EQ(dram.peek(0x80), 5u);
 }
 
+TEST(Dram, ZeroLinesHoldNoEntry)
+{
+    EventQueue eq;
+    DramModel dram(eq, nsToTicks(10.0), 2, 16.0);
+    // A migration copy pokes every line of a page; only nonzero lines
+    // are stored.
+    for (Addr off = 0; off < kPageBytes; off += kCachelineBytes)
+        dram.poke(off, off == 3 * kCachelineBytes ? 9 : 0);
+    EXPECT_EQ(dram.storedLines(), 1u);
+    EXPECT_EQ(dram.peek(3 * kCachelineBytes), 9u);
+
+    // Poking (or writing) 0 over a stored line erases its entry.
+    dram.poke(3 * kCachelineBytes, 0);
+    EXPECT_EQ(dram.storedLines(), 0u);
+    EXPECT_EQ(dram.peek(3 * kCachelineBytes), 0u);
+    MemRequest wr;
+    wr.lineAddr = 0x40;
+    wr.isWrite = true;
+    wr.value = 4;
+    dram.write(wr, 0);
+    EXPECT_EQ(dram.storedLines(), 1u);
+    wr.value = 0;
+    dram.write(wr, 0);
+    EXPECT_EQ(dram.storedLines(), 0u);
+    EXPECT_EQ(dram.writes(), 2u);
+}
+
 TEST(Dram, CountsTraffic)
 {
     EventQueue eq;

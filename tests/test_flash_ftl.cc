@@ -254,7 +254,7 @@ TEST(Ftl, PagesFarPastTheFootprint)
     EventQueue eq;
     Ftl ftl(tinyFlash(), eq, 1);
     ftl.precondition(16);
-    PageData &first = ftl.pageData(0);
+    PageData &first = ftl.mutablePageData(0);
     first[3] = 77;
 
     // Lazily mapped LPNs far past the footprint grow the dense arrays.
@@ -272,7 +272,9 @@ TEST(Ftl, PagesFarPastTheFootprint)
     EXPECT_EQ(ftl.peekLine(2'000'001 * kPageBytes), 0u);
     EXPECT_EQ(ftl.peekLine(5'000'000 * kPageBytes), 0u);
 
-    // pageData() references stay valid across the growth.
+    // mutablePageData() references stay valid across the growth, and
+    // the reader sees the same storage.
+    EXPECT_EQ(&ftl.mutablePageData(0), &first);
     EXPECT_EQ(&ftl.pageData(0), &first);
     EXPECT_EQ(first[3], 77u);
     EXPECT_EQ(ftl.peekLine(3 * kCachelineBytes), 77u);
@@ -289,6 +291,41 @@ TEST(Ftl, HostLpnInColdRangeThrows)
     EXPECT_THROW(ftl.readPage(Ftl::kColdLpnBase + 1, 0, nullptr),
                  std::logic_error);
     EXPECT_THROW(ftl.pageData(Ftl::kColdLpnBase), std::logic_error);
+    EXPECT_THROW(ftl.mutablePageData(Ftl::kColdLpnBase),
+                 std::logic_error);
+}
+
+TEST(Ftl, ReadsOfUnwrittenPagesAllocateNothing)
+{
+    EventQueue eq;
+    Ftl ftl(tinyFlash(), eq, 1);
+    ftl.precondition(16);
+    // Reads inside and far past the footprint: every line is 0, and
+    // they all share one zero page instead of allocating their own.
+    for (const std::uint64_t lpn : {0ULL, 7ULL, 15ULL, 300'000ULL}) {
+        ftl.readPage(lpn, 0, nullptr);
+        EXPECT_EQ(ftl.pageData(lpn)[lpn % kLinesPerPage], 0u);
+        EXPECT_EQ(ftl.peekLine(lpn * kPageBytes), 0u);
+        EXPECT_EQ(&ftl.pageData(lpn), &ftl.pageData(1));
+    }
+    eq.run();
+    EXPECT_EQ(ftl.stats().hostReads, 4u);
+    EXPECT_EQ(ftl.storedPages(), 0u);
+
+    // An all-zero program stores nothing either; a nonzero line does.
+    PageData zeros{};
+    ftl.writePage(4, eq.now(), zeros, nullptr);
+    EXPECT_EQ(ftl.storedPages(), 0u);
+    PageData one{};
+    one[9] = 5;
+    ftl.writePage(4, eq.now(), one, nullptr);
+    EXPECT_EQ(ftl.storedPages(), 1u);
+    EXPECT_EQ(ftl.peekLine(4 * kPageBytes + 9 * kCachelineBytes), 5u);
+    // Zeros over a stored page overwrite it.
+    ftl.writePage(4, eq.now(), zeros, nullptr);
+    eq.run();
+    EXPECT_EQ(ftl.peekLine(4 * kPageBytes + 9 * kCachelineBytes), 0u);
+    EXPECT_EQ(ftl.stats().hostPrograms, 3u);
 }
 
 TEST(Ftl, ExhaustedFreeListThrows)

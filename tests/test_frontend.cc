@@ -189,6 +189,34 @@ TEST(ConfigFile, RejectsMalformedValues)
                  std::invalid_argument);
 }
 
+TEST(ConfigFile, CoreCountIsBoundedAndNamed)
+{
+    ExperimentSpec spec;
+    applyAssignment("num_cores=1", spec);
+    EXPECT_EQ(spec.config.cpu.numCores, 1);
+    applyAssignment("num_cores=256", spec);
+    EXPECT_EQ(spec.config.cpu.numCores, CpuConfig::kMaxCores);
+    // 0 would leave the scheduler without a core; 4294967297 used to
+    // truncate to 1 core through the int cast.
+    for (const char *bad : {"0", "-1", "abc", "257", "4294967297", ""}) {
+        for (const bool cli : {false, true}) {
+            try {
+                if (cli)
+                    parseCoreCount("-c", bad);
+                else
+                    applyAssignment(std::string("num_cores=") + bad, spec);
+                ADD_FAILURE() << '"' << bad << '"';
+            } catch (const std::invalid_argument &e) {
+                EXPECT_NE(std::string(e.what()).find(cli ? "-c"
+                                                         : "num_cores"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    EXPECT_EQ(spec.config.cpu.numCores, CpuConfig::kMaxCores);
+}
+
 TEST(ConfigFile, CommentsAndBlanksIgnored)
 {
     ExperimentSpec spec;
@@ -280,6 +308,23 @@ TEST(Parse, CountAcceptsDigitsInRangeOnly)
             ADD_FAILURE() << '"' << bad << '"';
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find("--flag"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Parse, CountInRangeEnforcesTheLowerBound)
+{
+    EXPECT_EQ(parseCountInRange("-c", "1", 1, 4), 1u);
+    EXPECT_EQ(parseCountInRange("-c", "4", 1, 4), 4u);
+    for (const char *bad : {"0", "5", "x"}) {
+        try {
+            parseCountInRange("-c", bad, 1, 4);
+            ADD_FAILURE() << '"' << bad << '"';
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("-c expects an integer "
+                                                 "in [1, 4]"),
                       std::string::npos)
                 << e.what();
         }

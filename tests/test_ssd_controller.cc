@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/ssd_controller.h"
@@ -150,6 +151,60 @@ TEST(SsdController, BaseCssdWriteMissDoesRmw)
     // After the RMW fetch, the write is in the cached page.
     const MemResponse r = dev.readSync(9 * kPageBytes);
     EXPECT_EQ(r.value, 55u);
+}
+
+TEST(SsdController, ReadJoiningFetchSeesBufferedWrite)
+{
+    // Base-CSSD buffers a write miss's line on the page's pending
+    // fetch. A read that joins the fetch after that write must return
+    // it, not the flash snapshot; a read that joined before may not.
+    Device dev(deviceConfig(false, false));
+    const Addr line = 9 * kPageBytes + 4 * kCachelineBytes;
+    std::vector<LineValue> got;
+    auto read = [&dev, &got](Addr addr) {
+        dev.ssd.read(addr, dev.eq.now(), [&got](const MemResponse &r) {
+            EXPECT_EQ(r.kind, MemResponseKind::Data);
+            got.push_back(r.value);
+        });
+    };
+    read(line);                   // starts the fetch
+    dev.ssd.write(line, 55, 0);   // buffered on it
+    read(line);                   // joins after the write
+    dev.ssd.write(line, 56, 0);   // a newer buffered write
+    read(line + kCachelineBytes); // another line of the page
+    read(line);
+    dev.eq.run();
+    EXPECT_EQ(got, (std::vector<LineValue>{0, 55, 0, 56}));
+    EXPECT_EQ(dev.ssd.stats().readMisses, 4u);
+    EXPECT_EQ(dev.ssd.ftl().totalReads(), 1u); // one shared fetch
+    EXPECT_EQ(dev.readSync(line).value, 56u);
+}
+
+TEST(SsdController, PeekLineSeesBufferedWrite)
+{
+    // A TPP promotion copies lines with peekLine while the page may
+    // still be on its write-allocate fetch.
+    Device dev(deviceConfig(false, false));
+    const Addr line = 9 * kPageBytes + 4 * kCachelineBytes;
+    dev.ssd.write(line, 55, 0);
+    dev.ssd.write(line, 56, 0);
+    EXPECT_FALSE(dev.ssd.isPageCached(9));
+    EXPECT_EQ(dev.ssd.peekLine(line), 56u);
+    EXPECT_EQ(dev.ssd.peekLine(line + kCachelineBytes), 0u);
+    dev.eq.run();
+    EXPECT_TRUE(dev.ssd.isPageCached(9));
+    EXPECT_EQ(dev.ssd.peekLine(line), 56u);
+}
+
+TEST(SsdController, ReadMissesStoreNoFlashPages)
+{
+    // Pages that were only ever read share the FTL's zero page.
+    Device dev(deviceConfig(false, false));
+    for (std::uint64_t lpn = 0; lpn < 12; ++lpn)
+        EXPECT_EQ(dev.readSync(lpn * kPageBytes).value, 0u);
+    dev.eq.run();
+    EXPECT_EQ(dev.ssd.stats().readMisses, 12u);
+    EXPECT_EQ(dev.ssd.ftl().storedPages(), 0u);
 }
 
 TEST(SsdController, BaseCssdDirtyEvictionPrograms)

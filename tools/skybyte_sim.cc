@@ -10,7 +10,7 @@
  *   -k        inline override, e.g. -k cs_threshold=2000 or
  *             -k workload=zipf:theta=0.99,footprint=64M (any
  *             registered workload spec string)
- *   -c        number of simulated cores
+ *   -c        number of simulated cores, 1 to 256
  *   -f        write the result as JSON to this file ("-" = stdout)
  *   -p        print detailed runtime information (summary to stdout)
  *   -d        run with effectively infinite host DRAM for promotions
@@ -47,8 +47,10 @@ usage()
         stderr,
         "usage: skybyte_sim [-b cfg] [-w cfg] [-t cfg] [-k key=value]\n"
         "                   [-c cores] [-f out.json] [-p] [-d] [-r]\n"
+        "  -c takes 1 to %d cores\n"
         "exit codes: 0 ok; 1 usage/runtime error; 2 in-sim safety tick"
-        " limit hit\n");
+        " limit hit\n",
+        CpuConfig::kMaxCores);
 }
 
 } // namespace
@@ -78,7 +80,7 @@ main(int argc, char **argv)
             } else if (arg == "-k") {
                 applyAssignment(next(), spec);
             } else if (arg == "-c") {
-                spec.config.cpu.numCores = std::stoi(next());
+                spec.config.cpu.numCores = parseCoreCount("-c", next());
             } else if (arg == "-f") {
                 out_path = next();
             } else if (arg == "-p") {
