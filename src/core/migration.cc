@@ -1,6 +1,10 @@
 #include "core/migration.h"
 
 #include <algorithm>
+#include <string>
+
+#include "common/check.h"
+#include "trace/tenant_map.h"
 
 namespace skybyte {
 
@@ -130,22 +134,23 @@ MigrationEngine::onSsdAccess(std::uint64_t lpn, Tick now)
 }
 
 void
-MigrationEngine::setTenantShares(std::vector<Addr> device_starts,
+MigrationEngine::setTenantShares(const TenantMap &tenants,
                                  std::vector<std::uint64_t> share_bytes)
 {
-    tenantStarts_ = std::move(device_starts);
+    SKYBYTE_CHECK(share_bytes.size() == tenants.size(),
+                  "one migration share per tenant");
+    tenants_ = &tenants;
     tenantShareBytes_ = std::move(share_bytes);
     tenantPromotedBytes_.assign(tenantShareBytes_.size(), 0);
 }
 
 std::size_t
-MigrationEngine::tenantOfBase(std::uint64_t base) const
+MigrationEngine::chargedTenant(std::uint64_t base) const
 {
-    const Addr dev = base * kPageBytes;
-    std::size_t t = tenantStarts_.size() - 1;
-    while (t > 0 && dev < tenantStarts_[t])
-        t--;
-    return t;
+    const int t = tenants_->ofDevice(base * kPageBytes);
+    SKYBYTE_CHECK(t >= 0, "promoted region at lpn " + std::to_string(base)
+                              + " belongs to no tenant");
+    return static_cast<std::size_t>(t);
 }
 
 bool
@@ -155,8 +160,8 @@ MigrationEngine::promote(std::uint64_t base, Tick now, Tick extra_cost)
         static_cast<std::uint64_t>(regionPages_) * kPageBytes;
     // Per-tenant share cap first: a promotion the cap will reject must
     // not demote other tenants' regions on its way to the rejection.
-    if (!tenantShareBytes_.empty()) {
-        const std::size_t t = tenantOfBase(base);
+    if (tenants_ != nullptr) {
+        const std::size_t t = chargedTenant(base);
         if (tenantPromotedBytes_[t] + region_bytes
             > tenantShareBytes_[t]) {
             migStats_.rejectedTenantShare++;
@@ -188,8 +193,8 @@ MigrationEngine::promote(std::uint64_t base, Tick now, Tick extra_cost)
     scheduleBurst(base, 0, t_irq);
     // The PLB entry already holds host DRAM, so the share is charged
     // from the start of the copy, mirroring promotedPages().
-    if (!tenantShareBytes_.empty())
-        tenantPromotedBytes_[tenantOfBase(base)] += region_bytes;
+    if (tenants_ != nullptr)
+        tenantPromotedBytes_[chargedTenant(base)] += region_bytes;
     return true;
 }
 
@@ -372,11 +377,10 @@ MigrationEngine::demoteRegion(std::uint64_t base, Tick now)
     regionSlab_.release(region);
     if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive)
         lists_.erase(base); // no-op when chosen via selectVictim
-    if (!tenantShareBytes_.empty()) {
+    if (tenants_ != nullptr) {
         const std::uint64_t region_bytes =
             static_cast<std::uint64_t>(regionPages_) * kPageBytes;
-        std::uint64_t &held =
-            tenantPromotedBytes_[tenantOfBase(base)];
+        std::uint64_t &held = tenantPromotedBytes_[chargedTenant(base)];
         held -= std::min(held, region_bytes);
     }
 

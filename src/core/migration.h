@@ -101,13 +101,12 @@ class MigrationEngine
 
     /**
      * Per-tenant migration-budget shares (QosConfig::migrationShare):
-     * tenant t (device regions starting at @p device_starts[t]) may
-     * hold at most @p share_bytes[t] bytes of promoted host DRAM;
-     * promotions beyond the share are rejected and counted in
-     * MigrationStats::rejectedTenantShare. Both vectors are indexed by
-     * tenant in declaration order; empty share vectors disable the cap.
+     * tenant t of @p tenants (which must outlive the engine) may hold
+     * at most @p share_bytes[t] bytes of promoted host DRAM; promotions
+     * beyond the share are rejected and counted in
+     * MigrationStats::rejectedTenantShare.
      */
-    void setTenantShares(std::vector<Addr> device_starts,
+    void setTenantShares(const TenantMap &tenants,
                          std::vector<std::uint64_t> share_bytes);
 
     /** Promoted bytes currently attributed to @p tenant (QoS view). */
@@ -220,8 +219,9 @@ class MigrationEngine
         return base * kPageBytes < cfg_.hostMem.pinnedDeviceBytes;
     }
 
-    /** Tenant owning region @p base (valid only with shares set). */
-    std::size_t tenantOfBase(std::uint64_t base) const;
+    /** Tenant whose share region @p base is charged to (shares set).
+     *  @throws std::logic_error when the region has no tenant. */
+    std::size_t chargedTenant(std::uint64_t base) const;
 
     /** Idle window a victim must exceed before displacement. */
     static constexpr Tick kAntiThrashIdle =
@@ -255,8 +255,8 @@ class MigrationEngine
     FlatMap<std::vector<std::uint64_t>> migratingDirty_;
     FlatMap<std::uint32_t> tppScores_;
     MigrationStats migStats_;
-    /** @name Per-tenant share state (empty = shares disabled). @{ */
-    std::vector<Addr> tenantStarts_;
+    /** @name Per-tenant share state (null = shares disabled). @{ */
+    const TenantMap *tenants_ = nullptr;
     std::vector<std::uint64_t> tenantShareBytes_;
     std::vector<std::uint64_t> tenantPromotedBytes_;
     /** @} */

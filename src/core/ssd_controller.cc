@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 #include "common/check.h"
 #include "cxl/ndr.h"
@@ -88,70 +87,27 @@ SsdController::bufferedLine(const PendingFetch &pf, std::uint32_t off)
 }
 
 void
-SsdController::setTenantBounds(std::vector<Addr> starts, Addr end_bytes)
+SsdController::setTenants(const TenantMap *tenants)
 {
-    if (!starts.empty()
-        && (starts.front() != 0
-            || !std::is_sorted(starts.begin(), starts.end())
-            || starts.back() >= end_bytes)) {
-        throw std::invalid_argument(
-            "tenant bounds must start at 0, ascend, and end before "
-            "end_bytes");
-    }
-    tenantStarts_ = std::move(starts);
-    tenantEnd_ = end_bytes;
-    tenantStats_.assign(tenantStarts_.size(), SsdTenantCounters{});
-}
-
-int
-SsdController::tenantIndexFor(Addr dev) const
-{
-    // Addresses past the last tenant's region (a sequential prefetch
-    // running off the end of the mix footprint) belong to nobody.
-    if (tenantStarts_.empty() || dev >= tenantEnd_)
-        return -1;
-    std::size_t t = tenantStarts_.size() - 1;
-    while (t > 0 && dev < tenantStarts_[t])
-        t--;
-    return static_cast<int>(t);
-}
-
-SsdTenantCounters *
-SsdController::tenantFor(Addr dev)
-{
-    const int t = tenantIndexFor(dev);
-    return t < 0 ? nullptr : &tenantStats_[static_cast<std::size_t>(t)];
-}
-
-void
-SsdController::configureQos(const QosConfig &qos,
-                            const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (const double w : weights)
-        total += w;
-    if (weights.size() != tenantStarts_.size() || total <= 0.0)
-        throw std::invalid_argument(
-            "configureQos needs one positive weight per tenant bound");
+    tenants_ = tenants;
+    if (tenants_ == nullptr)
+        return;
+    const std::size_t n = tenants_->size();
+    tenantStats_.assign(n, SsdTenantCounters{});
+    const QosConfig &qos = cfg_.qos;
     if (qos.weightedAdmission) {
-        weightedAdmission_ = true;
         qosEpochTicks_ = std::max<Tick>(qos.epochTicks, 1);
-        admission_.assign(weights.size(), AdmissionState{});
-        for (std::size_t t = 0; t < weights.size(); ++t) {
-            admission_[t].budget = std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(
-                       static_cast<double>(qos.creditsPerEpoch)
-                       * weights[t] / total));
+        admission_.assign(n, AdmissionState{});
+        for (std::size_t t = 0; t < n; ++t) {
+            admission_[t].budget = static_cast<std::uint32_t>(
+                tenants_->share(qos.creditsPerEpoch, 1, t));
         }
     }
     if (qos.writeLogQuota && log_ != nullptr) {
-        const auto cap = static_cast<double>(
-            log_->activeBuffer().capacityEntries());
-        std::vector<std::uint64_t> quotas(weights.size());
-        for (std::size_t t = 0; t < weights.size(); ++t) {
-            quotas[t] = std::max<std::uint64_t>(
-                1, static_cast<std::uint64_t>(cap * weights[t] / total));
-        }
+        const std::uint64_t cap = log_->activeBuffer().capacityEntries();
+        std::vector<std::uint64_t> quotas(n);
+        for (std::size_t t = 0; t < n; ++t)
+            quotas[t] = tenants_->share(cap, 1, t);
         log_->setTenantQuotas(std::move(quotas));
     }
 }
@@ -159,8 +115,7 @@ SsdController::configureQos(const QosConfig &qos,
 Tick
 SsdController::admit(int tenant, Tick t_arr, std::uint32_t cost)
 {
-    if (!weightedAdmission_ || tenant < 0
-        || static_cast<std::size_t>(tenant) >= admission_.size())
+    if (tenant < 0 || admission_.empty())
         return t_arr;
     AdmissionState &st = admission_[static_cast<std::size_t>(tenant)];
     const std::uint64_t e = t_arr / qosEpochTicks_;
@@ -268,7 +223,7 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
     const std::uint64_t lpn = pageNumber(dev_line_addr);
     const std::uint32_t off = lineInPage(dev_line_addr);
     const Tick t_link = link_.deliverToDevice(when, kHeaderBytes);
-    const int tenant_idx = tenantIndexFor(dev_line_addr);
+    const int tenant_idx = tenantOf(dev_line_addr);
     // Weighted admission (QoS): a tenant past its epoch credit budget
     // has the request held at the device front end; the late response
     // backpressures that tenant's cores through their ROB/MSHR limits.
@@ -282,10 +237,7 @@ SsdController::read(Addr dev_line_addr, Tick when, MemCallback cb)
         log_val = log_->lookup(dev_line_addr);
     CachedPage *page = cache_.lookup(lpn);
 
-    SsdTenantCounters *tenant =
-        tenant_idx < 0
-            ? nullptr
-            : &tenantStats_[static_cast<std::size_t>(tenant_idx)];
+    SsdTenantCounters *tenant = tenantBucket(tenant_idx);
     if (tenant != nullptr && t_arr > t_link) {
         tenant->delayedReads++;
         tenant->throttleDelayTicks += t_arr - t_link;
@@ -446,7 +398,8 @@ SsdController::onPageArrived(std::uint64_t lpn, Tick done)
     fetches_.erase(lpn);
 
     stats_.flashReadLatency.record(done - pf->startedAt);
-    if (SsdTenantCounters *tenant = tenantFor(lpn * kPageBytes)) {
+    if (SsdTenantCounters *tenant =
+            tenantBucket(tenantOf(lpn * kPageBytes))) {
         tenant->flashPageReads++;
         tenant->flashReadTicks +=
             static_cast<double>(done - pf->startedAt);
@@ -505,20 +458,16 @@ SsdController::write(Addr dev_line_addr, LineValue value, Tick when)
     const std::uint64_t lpn = pageNumber(dev_line_addr);
     const std::uint32_t off = lineInPage(dev_line_addr);
     const Tick t_link = link_.deliverToDevice(when, kCachelineBytes);
-    const int tenant_idx = tenantIndexFor(dev_line_addr);
-    SsdTenantCounters *tenant =
-        tenant_idx < 0
-            ? nullptr
-            : &tenantStats_[static_cast<std::size_t>(tenant_idx)];
+    const int tenant_idx = tenantOf(dev_line_addr);
+    SsdTenantCounters *tenant = tenantBucket(tenant_idx);
     // Over-quota log residency pays a one-credit admission surcharge,
     // so a tenant hogging the write log drains its epoch budget twice
     // as fast (QosConfig::writeLogQuota).
     std::uint32_t cost = 1;
-    if (logEnabled() && tenant_idx >= 0
+    if (logEnabled() && tenant != nullptr
         && log_->overQuota(static_cast<std::size_t>(tenant_idx))) {
         cost = 2;
-        if (tenant != nullptr)
-            tenant->logOverQuota++;
+        tenant->logOverQuota++;
     }
     const Tick t_arr = admit(tenant_idx, t_link, cost);
     const Tick t_idx = t_arr + indexLatency();

@@ -45,6 +45,7 @@
 #include "cxl/cxl.h"
 #include "mem/dram.h"
 #include "ssd/ftl.h"
+#include "trace/tenant_map.h"
 
 namespace skybyte {
 
@@ -89,9 +90,10 @@ struct SsdStats
 /**
  * Per-tenant device-side counters for co-located (mix:) workloads.
  * Tenants own disjoint, contiguous device-address regions, so every
- * line request classifies to exactly one tenant and the buckets
- * partition the aggregate SsdStats counts — the invariant
- * tests/test_system.cc pins. Pure accounting: enabling tenants never
+ * line request classifies (TenantMap::ofDevice) to exactly one tenant
+ * and the buckets partition the aggregate SsdStats counts — the
+ * invariant tests/test_system.cc pins; a prefetch past the mix
+ * footprint belongs to none. Pure accounting: enabling tenants never
  * changes simulated behaviour.
  */
 struct SsdTenantCounters
@@ -105,7 +107,7 @@ struct SsdTenantCounters
     std::uint64_t flashPageReads = 0;
     /** Summed flash read latency of those arrivals (ticks). */
     double flashReadTicks = 0;
-    /** @name QoS enforcement effects (zero unless configureQos ran). @{ */
+    /** @name QoS enforcement effects (zero unless QoS is on). @{ */
     std::uint64_t delayedReads = 0;  ///< reads held by admission credits
     std::uint64_t delayedWrites = 0; ///< writes held by admission credits
     std::uint64_t throttleDelayTicks = 0; ///< total admission hold time
@@ -191,34 +193,22 @@ class SsdController
     DramModel &dram() { return dram_; }
 
     /**
-     * Enable per-tenant counters. @p starts holds each tenant's first
-     * device-byte offset in ascending order (starts[0] == 0); tenant i
-     * owns [starts[i], starts[i+1]), the last up to @p end_bytes.
-     * Addresses at or past @p end_bytes belong to no tenant (e.g.
-     * sequential prefetches running off the end of the mix footprint).
-     * Empty @p starts (the default) disables the accounting entirely.
+     * Enable per-tenant counters for @p tenants (null = no accounting;
+     * it must outlive the controller) and arm the config's QoS
+     * controls. QosConfig::weightedAdmission gives each tenant its
+     * TenantMap::share of creditsPerEpoch per epochTicks window (at
+     * least 1); a request beyond it is admitted at the first epoch with
+     * spare credit. QosConfig::writeLogQuota caps each tenant's live
+     * write-log entries at its share of the capacity (at least 1);
+     * over-quota writes pay a one-credit admission surcharge.
      */
-    void setTenantBounds(std::vector<Addr> starts, Addr end_bytes);
+    void setTenants(const TenantMap *tenants);
 
-    /** Per-tenant buckets, aligned with the setTenantBounds order. */
+    /** Per-tenant buckets, indexed like the tenant map. */
     const std::vector<SsdTenantCounters> &tenantCounters() const
     {
         return tenantStats_;
     }
-
-    /**
-     * Arm the per-tenant QoS controls (§ QoS extension). @p weights are
-     * the relative tenant weights in setTenantBounds order; they are
-     * normalised internally. With QosConfig::weightedAdmission each
-     * tenant gets max(1, creditsPerEpoch x share) admission credits per
-     * epochTicks window, and requests beyond the budget are admitted at
-     * the start of the first epoch with spare credit. With
-     * QosConfig::writeLogQuota each tenant's live write-log entries are
-     * capped at capacity x share; over-quota writes pay a one-credit
-     * admission surcharge. Requires setTenantBounds to have run first.
-     */
-    void configureQos(const QosConfig &qos,
-                      const std::vector<double> &weights);
 
   private:
     /** One line read waiting on an in-flight fetch (intrusive FIFO). */
@@ -319,15 +309,20 @@ class SsdController
     void issueCompactionJob(std::uint32_t ch, Tick when);
     void compactionJobDone(std::uint32_t ch, Tick done);
 
-    /**
-     * Tenant bucket for device byte offset @p dev, or nullptr when
-     * tenant accounting is disabled. Linear scan: mixes hold a handful
-     * of tenants.
-     */
-    SsdTenantCounters *tenantFor(Addr dev);
+    /** Tenant owning device offset @p dev, or -1 without tenants. */
+    int
+    tenantOf(Addr dev) const
+    {
+        return tenants_ == nullptr ? -1 : tenants_->ofDevice(dev);
+    }
 
-    /** Tenant index for @p dev, or -1 when accounting is disabled. */
-    int tenantIndexFor(Addr dev) const;
+    /** Counters of @p tenant, or nullptr for -1 (no tenant). */
+    SsdTenantCounters *
+    tenantBucket(int tenant)
+    {
+        return tenant < 0 ? nullptr
+                          : &tenantStats_[static_cast<std::size_t>(tenant)];
+    }
 
     /**
      * Deterministic epoch token bucket: spend @p cost credits of
@@ -364,9 +359,8 @@ class SsdController
 
     SsdStats stats_;
 
-    /** Per-tenant accounting (empty = disabled; see setTenantBounds). */
-    std::vector<Addr> tenantStarts_;
-    Addr tenantEnd_ = 0;
+    /** Tenant classification (null = accounting disabled). */
+    const TenantMap *tenants_ = nullptr;
     std::vector<SsdTenantCounters> tenantStats_;
 
     /** Per-tenant admission token-bucket state (see admit()). */
@@ -376,7 +370,6 @@ class SsdController
         std::uint32_t used = 0;   ///< credits spent in that epoch
         std::uint32_t budget = 0; ///< credits granted per epoch
     };
-    bool weightedAdmission_ = false;
     Tick qosEpochTicks_ = 1;
     std::vector<AdmissionState> admission_;
 

@@ -107,10 +107,9 @@ Uncore::onResponse(Addr line_addr, const MemResponse &resp)
         }
         st->value = resp.value;
         offchip_.record(now - st->issuedAt);
-        if (!tenantOffchip_.empty()) {
-            const int t = tenantOf_(st->lineAddr);
-            if (t >= 0
-                && static_cast<std::size_t>(t) < tenantOffchip_.size()) {
+        if (tenants_ != nullptr) {
+            const int t = tenants_->ofVaddr(st->lineAddr);
+            if (t >= 0) {
                 tenantOffchip_[static_cast<std::size_t>(t)].record(
                     now - st->issuedAt);
             }

@@ -10,7 +10,6 @@
 #define SKYBYTE_CPU_UNCORE_H
 
 #include <cstddef>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "common/stats.h"
 #include "cpu/cache.h"
 #include "cpu/mem_backend.h"
+#include "trace/tenant_map.h"
 
 namespace skybyte {
 
@@ -178,23 +178,22 @@ class Uncore
     const LatencyHistogram &offchipLatency() const { return offchip_; }
 
     /**
-     * Enable per-tenant off-chip latency recording (mix: workloads):
-     * @p n histograms, one per tenant, classified by the host virtual
-     * line address through @p classify (-1 = no tenant, e.g. private
-     * stack lines — those land only in the aggregate). Recording
-     * happens beside the aggregate offchip histogram at the same
-     * sample sites, so the tenant histograms partition the aggregate's
-     * tenant-owned samples exactly. Pure accounting: enabling this
-     * never changes simulated behaviour.
+     * Enable per-tenant off-chip latency recording (mix: workloads;
+     * null disables it, and @p tenants must outlive the uncore): one
+     * histogram per tenant, classified by TenantMap::ofVaddr of the
+     * line (no tenant = aggregate only), recorded at the aggregate's
+     * sample sites so the tenant histograms partition its tenant-owned
+     * samples exactly. Pure accounting: never changes behaviour.
      */
     void
-    enableTenantLatency(std::size_t n, std::function<int(Addr)> classify)
+    setTenants(const TenantMap *tenants)
     {
-        tenantOffchip_.assign(n, LatencyHistogram{});
-        tenantOf_ = std::move(classify);
+        tenants_ = tenants;
+        tenantOffchip_.assign(tenants == nullptr ? 0 : tenants->size(),
+                              LatencyHistogram{});
     }
 
-    /** Per-tenant off-chip latency, aligned with enableTenantLatency. */
+    /** Per-tenant off-chip latency, indexed like the tenant map. */
     const std::vector<LatencyHistogram> &tenantOffchipLatency() const
     {
         return tenantOffchip_;
@@ -222,9 +221,9 @@ class Uncore
     FlatMap<WaiterChain> inFlight_;
     std::vector<Core *> cores_;
     LatencyHistogram offchip_;
-    /** Per-tenant histograms (empty = disabled) + vaddr classifier. */
+    /** Tenant classification (null = disabled) + its histograms. */
+    const TenantMap *tenants_ = nullptr;
     std::vector<LatencyHistogram> tenantOffchip_;
-    std::function<int(Addr)> tenantOf_;
     std::uint64_t llcMisses_ = 0;
     std::uint64_t llcCoalesced_ = 0;
     std::uint64_t llcMshrBlocks_ = 0;

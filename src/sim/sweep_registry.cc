@@ -1110,25 +1110,20 @@ registerBuiltinSweeps()
         // storms get paced, while the noisy tenant's MLP bursts are
         // spread across the epoch. Tighter pools bind the lat tenant
         // and its delay-hint retries then snowball into extra spend.
-        policy.values.push_back({"admission", [](SweepPoint &p) {
-                                     p.cfg.qos.weightedAdmission = true;
-                                     p.cfg.qos.epochTicks =
-                                         usToTicks(5.0);
-                                     p.cfg.qos.creditsPerEpoch = 256;
-                                 }});
-        policy.values.push_back(
-            {"admission+quota", [](SweepPoint &p) {
-                 p.cfg.qos.weightedAdmission = true;
-                 p.cfg.qos.epochTicks = usToTicks(5.0);
-                 p.cfg.qos.creditsPerEpoch = 256;
-                 p.cfg.qos.writeLogQuota = true;
-             }});
-        policy.values.push_back({"full", [](SweepPoint &p) {
-                                     p.cfg.qos.weightedAdmission = true;
-                                     p.cfg.qos.epochTicks =
-                                         usToTicks(5.0);
-                                     p.cfg.qos.creditsPerEpoch = 256;
-                                     p.cfg.qos.writeLogQuota = true;
+        // Each policy adds one control to the previous one.
+        const auto admission = [](SweepPoint &p) {
+            p.cfg.qos.weightedAdmission = true;
+            p.cfg.qos.epochTicks = usToTicks(5.0);
+            p.cfg.qos.creditsPerEpoch = 256;
+        };
+        const auto quota = [admission](SweepPoint &p) {
+            admission(p);
+            p.cfg.qos.writeLogQuota = true;
+        };
+        policy.values.push_back({"admission", admission});
+        policy.values.push_back({"admission+quota", quota});
+        policy.values.push_back({"full", [quota](SweepPoint &p) {
+                                     quota(p);
                                      p.cfg.qos.migrationShare = true;
                                  }});
         qos.axes.push_back(std::move(policy));

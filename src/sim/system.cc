@@ -6,10 +6,15 @@
 
 namespace skybyte {
 
-MemRouter::MemRouter(System &sys) : sys_(sys)
+MemRouter::MemRouter(System &sys, const TenantMap *tenants)
+    : sys_(sys), tenants_(tenants)
 {
     if (sys_.cfg_.checkData)
         oracle_ = std::make_unique<DataOracle>();
+    if (tenants_ != nullptr) {
+        tenantHostReads_.assign(tenants_->size(), 0);
+        tenantHostWrites_.assign(tenants_->size(), 0);
+    }
 }
 
 void
@@ -19,9 +24,9 @@ MemRouter::noteHost(Addr vaddr, bool is_write)
         hostWrites_++;
     else
         hostReads_++;
-    if (tenantHostReads_.empty())
+    if (tenants_ == nullptr)
         return;
-    const int t = sys_.tenantOfVaddr(vaddr);
+    const int t = tenants_->ofVaddr(vaddr);
     if (t < 0)
         return;
     if (is_write)
@@ -157,20 +162,14 @@ System::buildSystem(
     hostDram_ = std::make_unique<DramModel>(eq_, cfg_.hostDram);
     ssd_ = std::make_unique<SsdController>(cfg_, eq_, *link_);
 
-    // Co-located run: enable per-tenant stat buckets. A single-tenant
-    // mix stays unbucketed so it reports (and fingerprints) exactly
-    // like the plain workload it degenerates to.
+    // Co-located run: per-tenant stat buckets and QoS controls. A
+    // single-tenant mix gets no tenant map, so it reports (and
+    // fingerprints) exactly like the plain workload it degenerates to.
     mix_ = dynamic_cast<MixWorkload *>(workload_.get());
-    if (mix_ != nullptr && mix_->tenants().size() >= 2) {
-        ssd_->setTenantBounds(mix_->tenantDeviceStarts(),
-                              mix_->footprintBytes());
-        // QoS enforcement at the device front end (qos_policy /
-        // qos_write_log_quota): weights come from the tenants' qos=
-        // spec keys. All knobs default off, so plain mixes keep their
-        // pinned fingerprints byte-identical.
-        if (cfg_.qos.weightedAdmission || cfg_.qos.writeLogQuota)
-            ssd_->configureQos(cfg_.qos, mix_->tenantQosWeights());
-    }
+    if (mix_ != nullptr && mix_->tenants().size() >= 2)
+        tenantMap_ = std::make_unique<TenantMap>(mix_->tenantMap());
+    const TenantMap *tenants = tenantMap_.get();
+    ssd_->setTenants(tenants);
 
     if (!cfg_.dramOnly && cfg_.preconditionSsd) {
         const std::uint64_t pages =
@@ -190,42 +189,24 @@ System::buildSystem(
                && cfg_.policy.migration != MigrationMechanism::None) {
         migration_ = std::make_unique<MigrationEngine>(cfg_, eq_, *ssd_,
                                                        *hostDram_, *link_);
-        if (cfg_.qos.migrationShare && mix_ != nullptr
-            && mix_->tenants().size() >= 2) {
-            // Each tenant's promoted-byte cap is its weight share of
-            // the host promotion budget, floored at one region so no
-            // tenant is locked out of host DRAM entirely.
-            const std::vector<double> weights = mix_->tenantQosWeights();
-            double total = 0.0;
-            for (const double w : weights)
-                total += w;
-            std::vector<std::uint64_t> shares(weights.size());
-            for (std::size_t t = 0; t < weights.size(); ++t) {
-                shares[t] = std::max<std::uint64_t>(
-                    static_cast<std::uint64_t>(migration_->regionPages())
-                        * kPageBytes,
-                    static_cast<std::uint64_t>(
-                        static_cast<double>(
-                            cfg_.hostMem.promotedBytesMax)
-                        * weights[t] / total));
+        if (cfg_.qos.migrationShare && tenants != nullptr) {
+            // Each tenant's promoted-byte cap is its share of the host
+            // promotion budget, floored at one region so no tenant is
+            // locked out of host DRAM entirely.
+            const std::uint64_t region =
+                std::uint64_t{migration_->regionPages()} * kPageBytes;
+            std::vector<std::uint64_t> shares(tenants->size());
+            for (std::size_t t = 0; t < shares.size(); ++t) {
+                shares[t] = tenants->share(cfg_.hostMem.promotedBytesMax,
+                                           region, t);
             }
-            migration_->setTenantShares(mix_->tenantDeviceStarts(),
-                                        std::move(shares));
+            migration_->setTenantShares(*tenants, std::move(shares));
         }
     }
 
-    router_ = std::make_unique<MemRouter>(*this);
-    if (mix_ != nullptr && mix_->tenants().size() >= 2)
-        router_->enableTenantAccounting(mix_->tenants().size());
+    router_ = std::make_unique<MemRouter>(*this, tenants);
     uncore_ = std::make_unique<Uncore>(cfg_.cpu, eq_, *router_);
-    if (mix_ != nullptr && mix_->tenants().size() >= 2) {
-        // Per-tenant SLO latency histograms (pure accounting): recorded
-        // beside the aggregate off-chip histogram, classified by the
-        // host virtual line address.
-        uncore_->enableTenantLatency(
-            mix_->tenants().size(),
-            [this](Addr vaddr) { return tenantOfVaddr(vaddr); });
-    }
+    uncore_->setTenants(tenants); // per-tenant SLO latency histograms
 
     for (int c = 0; c < cfg_.cpu.numCores; ++c) {
         cores_.push_back(std::make_unique<Core>(c, cfg_.cpu, cfg_.policy,
@@ -340,22 +321,6 @@ System::toDeviceAddr(Addr vaddr) const
     return vaddr - Workload::kDataBase;
 }
 
-int
-System::tenantOfVaddr(Addr vaddr) const
-{
-    if (mix_ == nullptr)
-        return -1;
-    if (isDeviceAddr(vaddr))
-        return mix_->tenantOfDeviceOffset(toDeviceAddr(vaddr));
-    if (vaddr >= Workload::kPrivateBase) {
-        const Addr tid =
-            (vaddr - Workload::kPrivateBase) / Workload::kPrivateStride;
-        if (tid < threads_.size())
-            return mix_->tenantOfThread(static_cast<int>(tid));
-    }
-    return -1;
-}
-
 SimResult
 System::run(Tick max_ticks)
 {
@@ -447,7 +412,7 @@ System::run(Tick max_ticks)
         res.promotions = astri_->stats().pageFills;
     }
 
-    if (mix_ != nullptr && mix_->tenants().size() >= 2) {
+    if (tenantMap_ != nullptr) {
         const std::vector<MixTenant> &tenants = mix_->tenants();
         const std::vector<SsdTenantCounters> &device =
             ssd_->tenantCounters();

@@ -29,6 +29,7 @@
 #include "cxl/cxl.h"
 #include "mem/dram.h"
 #include "sim/data_oracle.h"
+#include "trace/tenant_map.h"
 #include "trace/workload.h"
 
 namespace skybyte {
@@ -240,8 +241,9 @@ class MixWorkload;
 class MemRouter : public MemoryBackend
 {
   public:
-    /** Arms the data oracle when the system's config has checkData. */
-    explicit MemRouter(System &sys);
+    /** Arms the data oracle when the system's config has checkData;
+     *  non-null @p tenants adds per-tenant host-DRAM buckets. */
+    MemRouter(System &sys, const TenantMap *tenants);
 
     void read(const MemRequest &req, Tick when, MemCallback cb) override;
     void write(const MemRequest &req, Tick when) override;
@@ -252,14 +254,6 @@ class MemRouter : public MemoryBackend
 
     /** The data oracle, or nullptr when checkData is off. */
     const DataOracle *dataOracle() const { return oracle_.get(); }
-
-    /** Enable per-tenant host-DRAM request buckets (mix runs). */
-    void
-    enableTenantAccounting(std::size_t tenants)
-    {
-        tenantHostReads_.assign(tenants, 0);
-        tenantHostWrites_.assign(tenants, 0);
-    }
 
     const std::vector<std::uint64_t> &tenantHostReads() const
     {
@@ -275,6 +269,7 @@ class MemRouter : public MemoryBackend
     void noteHost(Addr vaddr, bool is_write);
 
     System &sys_;
+    const TenantMap *tenants_;
     std::unique_ptr<DataOracle> oracle_;
     std::uint64_t hostReads_ = 0;
     std::uint64_t hostWrites_ = 0;
@@ -346,14 +341,6 @@ class System
     Tick numaPenalty(int core_id) const;
     /** @} */
 
-    /**
-     * Tenant owning @p vaddr in a co-located run (-1 when the address
-     * belongs to no tenant or the workload is not a mix). Device
-     * addresses classify by the mix's namespaced regions, private
-     * addresses by the owning thread's tenant.
-     */
-    int tenantOfVaddr(Addr vaddr) const;
-
   private:
     friend class MemRouter;
 
@@ -368,8 +355,10 @@ class System
     WorkloadParams params_;
     EventQueue eq_;
     std::unique_ptr<Workload> workload_;
-    /** Non-null when workload_ is a mix (tenant classification). */
+    /** Non-null when workload_ is a mix. */
     MixWorkload *mix_ = nullptr;
+    /** Non-null only for mixes of two or more tenants. */
+    std::unique_ptr<const TenantMap> tenantMap_;
     /** SimResult.workload string; defaults to workload_->name(). */
     std::string workloadLabel_;
     std::unique_ptr<CxlLink> link_;

@@ -191,7 +191,6 @@ MixWorkload::MixWorkload(const WorkloadSpec &spec,
         tenant.specText = ts.spec.text();
         tenant.qosWeight = qos_weight;
         tenant.threads = counts[i];
-        tenant.explicitThreads = requested[i] >= 0;
         tenant.footprintBytes = pageRoundUp(child->footprintBytes());
         tenant.deviceBase = footprint_;
         footprint_ += tenant.footprintBytes;
@@ -240,33 +239,17 @@ MixWorkload::instructionsEmitted(int tid) const
         threadLocal_[static_cast<std::size_t>(tid)]);
 }
 
-int
-MixWorkload::tenantOfDeviceOffset(Addr dev) const
-{
-    int t = static_cast<int>(tenants_.size()) - 1;
-    while (t > 0 && dev < tenants_[static_cast<std::size_t>(t)].deviceBase)
-        t--;
-    return t;
-}
-
-std::vector<Addr>
-MixWorkload::tenantDeviceStarts() const
+TenantMap
+MixWorkload::tenantMap() const
 {
     std::vector<Addr> starts;
-    starts.reserve(tenants_.size());
-    for (const MixTenant &tenant : tenants_)
-        starts.push_back(tenant.deviceBase);
-    return starts;
-}
-
-std::vector<double>
-MixWorkload::tenantQosWeights() const
-{
     std::vector<double> weights;
-    weights.reserve(tenants_.size());
-    for (const MixTenant &tenant : tenants_)
+    for (const MixTenant &tenant : tenants_) {
+        starts.push_back(tenant.deviceBase);
         weights.push_back(tenant.qosWeight);
-    return weights;
+    }
+    return TenantMap(std::move(starts), footprint_, threadTenant_,
+                     std::move(weights));
 }
 
 } // namespace skybyte

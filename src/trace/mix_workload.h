@@ -32,7 +32,9 @@
  * map): `mix:a=zipf` produces bit-identical simulation results to
  * plain `zipf`, which tests/test_mix_workload.cc pins. Per-tenant stat
  * buckets (SimResult::tenants) are populated only for mixes with two
- * or more tenants — a degenerate mix reports like the plain workload.
+ * or more tenants — System builds the mix's tenantMap() (TenantMap,
+ * the one tenant classifier) only then, so a degenerate mix reports
+ * like the plain workload.
  */
 
 #ifndef SKYBYTE_TRACE_MIX_WORKLOAD_H
@@ -42,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/tenant_map.h"
 #include "trace/workload.h"
 
 namespace skybyte {
@@ -55,8 +58,6 @@ struct MixTenant
     std::string specText;
     /** Threads assigned to this tenant. */
     int threads = 0;
-    /** True when the child spec pinned threads= explicitly. */
-    bool explicitThreads = false;
     /** Child footprint rounded up to whole pages (region size). */
     std::uint64_t footprintBytes = 0;
     /** Offset of this tenant's region within the mix device space. */
@@ -144,18 +145,11 @@ class MixWorkload : public Workload
         return threadTenant_[static_cast<std::size_t>(tid)];
     }
 
-    /** Tenant owning device-space offset @p dev (< footprintBytes()). */
-    int tenantOfDeviceOffset(Addr dev) const;
-
     /**
-     * Ascending first-byte offsets of each tenant's device region
-     * (starts[0] == 0) — the bounds the SSD controller's per-tenant
-     * counters classify by.
+     * The mix's tenant classification and weighted-share view: device
+     * regions, footprint end, thread ownership and qos= weights.
      */
-    std::vector<Addr> tenantDeviceStarts() const;
-
-    /** Per-tenant QoS weights in declaration order (default 1.0). */
-    std::vector<double> tenantQosWeights() const;
+    TenantMap tenantMap() const;
 
   private:
     std::vector<std::unique_ptr<Workload>> children_;

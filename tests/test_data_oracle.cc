@@ -1,9 +1,10 @@
 /**
  * @file
  * The memory-side data oracle (`check_data=1`): its rules on hand-made
- * read/write sequences, and every fig14 variant on every paper app run
- * with it on, where each load must pass and the result must equal the
- * unchecked run's byte for byte.
+ * read/write sequences, every fig14 variant on every paper app, and
+ * every point of the co-located `qos` sweep run with it on, where each
+ * load must pass and the result must equal the unchecked run's byte
+ * for byte.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +13,13 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/config_file.h"
 #include "sim/data_oracle.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
+#include "sim/sweep.h"
 #include "sim/system.h"
 
 namespace skybyte {
@@ -124,6 +127,34 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+TEST(DataOracleSystem, QosSweepPointsCheckAndResultsAreUnchanged)
+{
+    // Two tenants under admission credits, write-log quotas and
+    // migration shares: stores from the noisy tenant reach the device
+    // and are read back, so each point checks real (nonzero) data.
+    const SweepSpec *spec = findSweep("qos");
+    ASSERT_NE(spec, nullptr);
+    ExperimentOptions opt;
+    opt.instrPerThread = spec->defaultInstrPerThread;
+    const std::vector<LabeledPoint> points = spec->expand(opt);
+    ASSERT_EQ(points.size(), 8u);
+    for (const LabeledPoint &lp : points) {
+        SCOPED_TRACE(lp.id());
+        SweepPoint p = lp.point;
+        const std::string plain =
+            toJson(runConfig(p.cfg, p.workload, p.opt));
+        p.cfg.checkData = true;
+        System sys(p.cfg, p.workload, makeParams(p.cfg, p.opt));
+        SimResult checked;
+        ASSERT_NO_THROW(checked = sys.run());
+        EXPECT_EQ(toJson(checked), plain);
+
+        const DataOracle *oracle = sys.dataOracle();
+        ASSERT_NE(oracle, nullptr);
+        EXPECT_GT(oracle->nonzeroReads(), 0u);
+    }
+}
 
 } // namespace
 } // namespace skybyte

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/migration.h"
+#include "trace/tenant_map.h"
 
 namespace skybyte {
 namespace {
@@ -433,11 +437,13 @@ TEST(Migration, ReclaimPoliciesAgreeOnObviousVictim)
 
 TEST(Migration, TenantShareCapsPromotions)
 {
+    // Two tenants: device pages [0,4) and [4,8). Tenant 0 may hold
+    // one 4 KB region in host DRAM, tenant 1 two. The map outlives
+    // the engine that points at it.
+    const TenantMap tenants({0, 4 * kPageBytes}, 8 * kPageBytes, {},
+                            {1.0, 1.0});
     MigFixture fx(migConfig(MigrationMechanism::SkyByte, 128));
-    // Two tenants: device pages [0,4) and [4,..). Tenant 0 may hold
-    // one 4 KB region in host DRAM, tenant 1 two.
-    fx.engine.setTenantShares({0, 4 * kPageBytes},
-                              {kPageBytes, 2 * kPageBytes});
+    fx.engine.setTenantShares(tenants, {kPageBytes, 2 * kPageBytes});
     for (std::uint64_t lpn : {0, 1, 4, 5, 6})
         fx.cachePage(static_cast<std::uint64_t>(lpn));
     ASSERT_TRUE(fx.engine.onHotPage(0, 0));
@@ -462,8 +468,9 @@ TEST(Migration, DemotionReleasesTenantShare)
     // A one-page host budget forces a demotion on the second
     // promotion; the demoted region's bytes must return to the
     // tenant's share so the cap tracks what is actually resident.
+    const TenantMap tenants({0}, 2 * kPageBytes, {}, {1.0});
     MigFixture fx(migConfig(MigrationMechanism::SkyByte, 1));
-    fx.engine.setTenantShares({0}, {4 * kPageBytes});
+    fx.engine.setTenantShares(tenants, {4 * kPageBytes});
     fx.cachePage(0);
     ASSERT_TRUE(fx.engine.onHotPage(0, 0));
     fx.eq.run();
@@ -476,6 +483,26 @@ TEST(Migration, DemotionReleasesTenantShare)
     EXPECT_TRUE(fx.engine.isPromoted(1));
     EXPECT_EQ(fx.engine.tenantPromotedBytes(0), kPageBytes);
     EXPECT_EQ(fx.engine.stats().rejectedTenantShare, 0u);
+}
+
+TEST(Migration, ChargedRegionWithNoTenantThrows)
+{
+    // Tenants own device pages [0,2); a promotion charged to a share
+    // for page 4 (past the mix footprint) must name the page instead
+    // of charging some tenant silently.
+    const TenantMap tenants({0}, 2 * kPageBytes, {}, {1.0});
+    MigFixture fx(migConfig(MigrationMechanism::SkyByte, 128));
+    fx.engine.setTenantShares(tenants, {4 * kPageBytes});
+    fx.cachePage(4);
+    try {
+        fx.engine.onHotPage(4, 0);
+        FAIL() << "expected std::logic_error";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("lpn 4 "),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(fx.engine.isPromoted(4));
 }
 
 } // namespace

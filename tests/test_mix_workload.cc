@@ -192,7 +192,10 @@ TEST(MixWorkloadRouting, TenantsNeverAliasDevicePages)
 
     // Drain every thread; every device access must land inside its
     // thread's tenant window and every private access inside the
-    // global thread's private window.
+    // global thread's private window, and the tenant map must
+    // attribute both to the thread's tenant.
+    const TenantMap map = mix->tenantMap();
+    ASSERT_EQ(map.size(), 3u);
     for (int tid = 0; tid < mix->numThreads(); ++tid) {
         const MixTenant &tenant =
             mix->tenants()[static_cast<std::size_t>(
@@ -211,14 +214,14 @@ TEST(MixWorkloadRouting, TenantsNeverAliasDevicePages)
                 EXPECT_GE(rec.vaddr, data_lo);
                 EXPECT_LT(rec.vaddr, data_hi);
                 device_records++;
-                EXPECT_EQ(mix->tenantOfDeviceOffset(
-                              rec.vaddr - Workload::kDataBase),
+                EXPECT_EQ(map.ofDevice(rec.vaddr - Workload::kDataBase),
                           mix->tenantOfThread(tid));
             } else {
                 EXPECT_GE(rec.vaddr, priv_lo);
                 EXPECT_LT(rec.vaddr,
                           priv_lo + Workload::kPrivateStride);
             }
+            EXPECT_EQ(map.ofVaddr(rec.vaddr), mix->tenantOfThread(tid));
         }
         EXPECT_GT(device_records, 0u) << "thread " << tid;
     }
