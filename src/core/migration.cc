@@ -51,11 +51,14 @@ MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
     if (const Plb::Entry *entry = plb_.find(lpn)) {
         // Region under promotion (§III-C): reads are served from the
         // SSD DRAM; only writes whose migrated bit is set chase the
-        // fresh host copy.
-        if (!is_write)
-            return PageHome::Ssd;
+        // fresh host copy, which then alone holds the line's value.
         const auto chunk =
             static_cast<std::uint32_t>(lpn - entry->baseLpn);
+        if (!is_write) {
+            return entry->lineMigrated(chunk, line)
+                       ? PageHome::SsdWithHostValue
+                       : PageHome::Ssd;
+        }
         // Either way the write only survives in the host copy once the
         // migration completes (the SSD drops its log/cache state), so
         // the page must demote dirty later.
@@ -74,10 +77,12 @@ MigrationEngine::route(std::uint64_t lpn, std::uint32_t line, Tick now,
             markDirty(region.dirtyPages, lpn);
         // Per-access recency upkeep for whichever structure the active
         // reclaim policy consults for victims; the unused one only
-        // needs the unlink-on-demote invariant, not fresh order.
+        // needs the unlink-on-demote invariant, not fresh order. Tenant
+        // shares pick victims from the recency list under either policy.
         if (cfg_.hostMem.reclaim == ReclaimPolicy::ActiveInactive)
             lists_.touch(base, now);
-        else
+        if (cfg_.hostMem.reclaim == ReclaimPolicy::LruScan
+            || tenants_ != nullptr)
             lruTouch(region);
         return PageHome::Host;
     }
@@ -158,14 +163,17 @@ MigrationEngine::promote(std::uint64_t base, Tick now, Tick extra_cost)
 {
     const std::uint64_t region_bytes =
         static_cast<std::uint64_t>(regionPages_) * kPageBytes;
-    // Per-tenant share cap first: a promotion the cap will reject must
-    // not demote other tenants' regions on its way to the rejection.
+    // Per-tenant share cap first: a tenant at its share makes room by
+    // demoting its own coldest idle region, and is rejected (without
+    // demoting other tenants' regions) when it has none.
     if (tenants_ != nullptr) {
         const std::size_t t = chargedTenant(base);
-        if (tenantPromotedBytes_[t] + region_bytes
-            > tenantShareBytes_[t]) {
-            migStats_.rejectedTenantShare++;
-            return false;
+        while (tenantPromotedBytes_[t] + region_bytes
+               > tenantShareBytes_[t]) {
+            if (!demoteColdestOf(t, now)) {
+                migStats_.rejectedTenantShare++;
+                return false;
+            }
         }
     }
     // Anti-thrash guard: when the host budget is full, only displace a
@@ -353,6 +361,22 @@ MigrationEngine::demoteColdest(Tick now, Tick min_idle)
     }
     demoteRegion(victim, now);
     return true;
+}
+
+bool
+MigrationEngine::demoteColdestOf(std::size_t tenant, Tick now)
+{
+    // The recency list is sorted by lastUse, so the walk stops at the
+    // first region used within the idle window: no later one is idle.
+    for (PromotedRegion *region = lruHead_;
+         region != nullptr && region->lastUse + kAntiThrashIdle <= now;
+         region = region->lruNext) {
+        if (chargedTenant(region->base) == tenant) {
+            demoteRegion(region->base, now);
+            return true;
+        }
+    }
+    return false;
 }
 
 void

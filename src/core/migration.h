@@ -47,7 +47,17 @@
 namespace skybyte {
 
 /** Where a cacheline access should be served right now. */
-enum class PageHome { Ssd, Host };
+enum class PageHome
+{
+    Ssd,
+    Host,
+    /**
+     * A read of a line already copied to a region still under promotion:
+     * the SSD serves it (§III-C), but writes since the copy went only to
+     * the host copy, so the value comes from there.
+     */
+    SsdWithHostValue,
+};
 
 /** Migration statistics. */
 struct MigrationStats
@@ -85,7 +95,9 @@ class MigrationEngine
     /**
      * Route decision for an access to cacheline @p line of SSD page
      * @p lpn; refreshes the promoted region's recency and dirtiness.
-     * During an in-flight migration the PLB decides per line (§III-C).
+     * During an in-flight migration the PLB decides per line (§III-C):
+     * reads go to the SSD (SsdWithHostValue once the line is copied),
+     * writes of copied lines to the host.
      */
     PageHome route(std::uint64_t lpn, std::uint32_t line, Tick now,
                    bool is_write);
@@ -102,9 +114,10 @@ class MigrationEngine
     /**
      * Per-tenant migration-budget shares (QosConfig::migrationShare):
      * tenant t of @p tenants (which must outlive the engine) may hold
-     * at most @p share_bytes[t] bytes of promoted host DRAM; promotions
-     * beyond the share are rejected and counted in
-     * MigrationStats::rejectedTenantShare.
+     * at most @p share_bytes[t] bytes of promoted host DRAM. A tenant at
+     * its share demotes its own coldest region to promote another; when
+     * none has been idle long enough, the promotion is rejected and
+     * counted in MigrationStats::rejectedTenantShare.
      */
     void setTenantShares(const TenantMap &tenants,
                          std::vector<std::uint64_t> share_bytes);
@@ -200,6 +213,13 @@ class MigrationEngine
      * @retval true if a region was demoted
      */
     bool demoteColdest(Tick now, Tick min_idle = 0);
+
+    /**
+     * Demote @p tenant's least recently used region if it has been
+     * idle for kAntiThrashIdle (tenant shares).
+     * @retval true if a region was demoted
+     */
+    bool demoteColdestOf(std::size_t tenant, Tick now);
 
     /** Copy the host data of @p base back to the SSD and untrack it. */
     void demoteRegion(std::uint64_t base, Tick now);

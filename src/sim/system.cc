@@ -69,8 +69,19 @@ MemRouter::read(const MemRequest &req, Tick when, MemCallback cb)
 
     if (sys_.migration_ != nullptr) {
         sys_.migration_->onSsdAccess(lpn, when); // TPP sampling
-        if (sys_.migration_->route(lpn, lineInPage(dev), when, false)
-            == PageHome::Host) {
+        const PageHome home =
+            sys_.migration_->route(lpn, lineInPage(dev), when, false);
+        if (home == PageHome::SsdWithHostValue) {
+            // Timed as the SSD read it is; the line's current value,
+            // which the response carries, is the host copy's.
+            cb = [value = sys_.hostDram_->peek(dev),
+                  inner = std::move(cb)](const MemResponse &resp) mutable {
+                MemResponse fixed = resp;
+                fixed.value = value;
+                inner(fixed);
+            };
+        }
+        if (home == PageHome::Host) {
             noteHost(vaddr, false);
             MemRequest hreq = req;
             hreq.lineAddr = dev; // promoted pages keyed by device addr

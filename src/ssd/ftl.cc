@@ -13,9 +13,10 @@ namespace {
 void
 checkHostLpn(std::uint64_t lpn)
 {
-    SKYBYTE_CHECK(lpn < Ftl::kColdLpnBase,
+    SKYBYTE_CHECK(lpn < Ftl::kHostLpnLimit,
                   "host LPN " + std::to_string(lpn)
-                      + " reaches the cold LPN range");
+                      + " is not below the host LPN limit "
+                      + std::to_string(Ftl::kHostLpnLimit));
 }
 
 /** What pageData() returns for a page without storage. */
@@ -36,14 +37,13 @@ Ftl::Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed)
         ch.flash = std::make_unique<FlashChannel>(static_cast<int>(c),
                                                   cfg_, eq_);
         ch.blocks.resize(blocks);
-        ch.slotLpn.assign(cfg_.pagesPerChannel(), kInvalidLpn);
+        ch.slotLpn.assign(cfg_.pagesPerChannel(), kDeadSlot);
         // All blocks initially free except the first, which opens.
         for (std::uint32_t b = blocks; b > 1; --b)
             ch.freeList.push_back(b - 1);
         ch.blocks[0].isFree = false;
         ch.blocks[0].isOpen = true;
         ch.openBlock = 0;
-        ch.coldLpnNext = kColdLpnBase + c;
     }
 }
 
@@ -124,12 +124,6 @@ Ftl::ensureOpenBlock(Channel &ch)
 std::uint32_t &
 Ftl::mappingEntry(std::uint64_t lpn)
 {
-    if (lpn >= kColdLpnBase) {
-        const std::uint64_t idx = lpn - kColdLpnBase;
-        SKYBYTE_CHECK(idx < coldMap_.size(),
-                      "cold LPN past the preconditioned range");
-        return coldMap_[idx];
-    }
     if (lpn >= hostMap_.size())
         hostMap_.resize(lpn + 1, kUnmapped);
     return hostMap_[lpn];
@@ -143,7 +137,7 @@ Ftl::invalidate(std::uint64_t lpn)
         return;
     Channel &ch = channels_[channelIdx(lpn)];
     if (ch.slotLpn[entry] == lpn) {
-        ch.slotLpn[entry] = kInvalidLpn;
+        ch.slotLpn[entry] = kDeadSlot;
         Block &blk = ch.blocks[entry / cfg_.pagesPerBlock];
         if (blk.validCount > 0)
             blk.validCount--;
@@ -151,17 +145,26 @@ Ftl::invalidate(std::uint64_t lpn)
     entry = kUnmapped;
 }
 
+std::uint32_t
+Ftl::claimSlots(Channel &ch, std::uint32_t n)
+{
+    Block &blk = ch.blocks[ch.openBlock];
+    const std::uint32_t first =
+        ch.openBlock * cfg_.pagesPerBlock + blk.writeCursor;
+    blk.writeCursor += n;
+    blk.validCount += n;
+    stats_.mappingUpdates += n;
+    return first;
+}
+
 void
-Ftl::mapToOpenBlock(Channel &ch, std::uint64_t lpn)
+Ftl::mapToOpenBlock(Channel &ch, std::uint32_t slot)
 {
     ensureOpenBlock(ch);
-    Block &blk = ch.blocks[ch.openBlock];
-    const std::uint32_t page =
-        ch.openBlock * cfg_.pagesPerBlock + blk.writeCursor++;
-    ch.slotLpn[page] = lpn;
-    blk.validCount++;
-    mappingEntry(lpn) = page;
-    stats_.mappingUpdates++;
+    const std::uint32_t page = claimSlots(ch, 1);
+    ch.slotLpn[page] = slot;
+    if (slot != kColdSlot)
+        mappingEntry(slot) = page;
 }
 
 void
@@ -172,7 +175,7 @@ Ftl::readPage(std::uint64_t lpn, Tick when, FlashDoneFn cb)
     if (mappingEntry(lpn) == kUnmapped) {
         // First touch of a never-written page: map it in place
         // (the paper's simulator warms all data into the SSD first).
-        mapToOpenBlock(ch, lpn);
+        mapToOpenBlock(ch, static_cast<std::uint32_t>(lpn));
     }
     stats_.hostReads++;
     ch.flash->enqueue(FlashOpKind::Read, when, std::move(cb));
@@ -185,7 +188,7 @@ Ftl::writePage(std::uint64_t lpn, Tick when, const PageData &data,
     checkHostLpn(lpn);
     Channel &ch = channels_[channelIdx(lpn)];
     invalidate(lpn);
-    mapToOpenBlock(ch, lpn);
+    mapToOpenBlock(ch, static_cast<std::uint32_t>(lpn));
     const bool stored = lpn < data_.size() && data_[lpn] != nullptr;
     if (stored
         || std::any_of(data.begin(), data.end(),
@@ -262,14 +265,14 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
     const std::uint32_t first = victim * cfg_.pagesPerBlock;
     for (std::uint32_t page = first; page < first + cfg_.pagesPerBlock;
          ++page) {
-        const std::uint64_t lpn = ch.slotLpn[page];
-        if (lpn == kInvalidLpn)
+        const std::uint32_t slot = ch.slotLpn[page];
+        if (slot == kDeadSlot)
             continue;
         ch.flash->enqueue(FlashOpKind::Read, cursor, nullptr);
         // Remap before enqueueing the program so the open block advances.
-        ch.slotLpn[page] = kInvalidLpn;
+        ch.slotLpn[page] = kDeadSlot;
         blk.validCount--;
-        mapToOpenBlock(ch, lpn);
+        mapToOpenBlock(ch, slot);
         ch.flash->enqueue(FlashOpKind::Program, cursor, nullptr);
         stats_.gcPageMoves++;
     }
@@ -285,7 +288,7 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
         vb.eraseCount++;
         const auto slots =
             chn.slotLpn.begin() + victim * cfg_.pagesPerBlock;
-        std::fill(slots, slots + cfg_.pagesPerBlock, kInvalidLpn);
+        std::fill(slots, slots + cfg_.pagesPerBlock, kDeadSlot);
         chn.freeList.push_back(victim);
         stats_.gcErases++;
         if (chn.freeList.size()
@@ -303,16 +306,33 @@ Ftl::gcRound(std::uint32_t ch_idx, Tick when)
 void
 Ftl::precondition(std::uint64_t footprint_pages, double rewrite_fraction)
 {
-    SKYBYTE_CHECK(footprint_pages <= kColdLpnBase,
-                  "footprint overlaps the cold LPN range");
+    SKYBYTE_CHECK(footprint_pages <= kHostLpnLimit,
+                  "footprint exceeds the host LPN limit");
     if (footprint_pages > hostMap_.size())
         hostMap_.resize(footprint_pages, kUnmapped);
     if (footprint_pages > data_.size())
         data_.resize(footprint_pages);
+    const std::uint32_t ppb = cfg_.pagesPerBlock;
 
-    // 1. Map every host LPN once (no timing; boot-time state).
-    for (std::uint64_t lpn = 0; lpn < footprint_pages; ++lpn)
-        mapToOpenBlock(channels_[channelIdx(lpn)], lpn);
+    // 1. Map every host LPN once (no timing; boot-time state). Channels
+    //    are independent, so each takes its LPNs c, c + channels, ... in
+    //    runs that fill one open block at a time.
+    for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
+        Channel &ch = channels_[c];
+        for (std::uint64_t lpn = c; lpn < footprint_pages;) {
+            ensureOpenBlock(ch);
+            const std::uint64_t left =
+                (footprint_pages - lpn + cfg_.channels - 1) / cfg_.channels;
+            const auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                left, ppb - ch.blocks[ch.openBlock].writeCursor));
+            const std::uint32_t first = claimSlots(ch, n);
+            for (std::uint32_t page = first; page < first + n;
+                 ++page, lpn += cfg_.channels) {
+                ch.slotLpn[page] = static_cast<std::uint32_t>(lpn);
+                hostMap_[lpn] = page;
+            }
+        }
+    }
 
     // 2. Rewrite a fraction to scatter dead pages across blocks.
     const auto rewrites = static_cast<std::uint64_t>(
@@ -320,36 +340,37 @@ Ftl::precondition(std::uint64_t footprint_pages, double rewrite_fraction)
     for (std::uint64_t i = 0; i < rewrites; ++i) {
         const std::uint64_t lpn = rng_.below(footprint_pages);
         invalidate(lpn);
-        mapToOpenBlock(channels_[channelIdx(lpn)], lpn);
+        mapToOpenBlock(channels_[channelIdx(lpn)],
+                       static_cast<std::uint32_t>(lpn));
     }
 
     // 3. Pad each channel with cold data until free blocks sit just above
     //    the GC threshold, so host writes soon push it into GC. A
     //    quarter of the cold pages are dead (over-written data), leaving
     //    GC victims with reclaimable space — a steady-state device, not
-    //    a pathological 100%-valid one.
+    //    a pathological 100%-valid one. The free list is checked before
+    //    each cold page, so the block that brings it down to the target
+    //    takes one page. Mapping cold pages draws nothing from rng_, so
+    //    deciding each run's dead pages as it is mapped keeps the draws
+    //    in mapping order.
     const std::uint32_t target_free = gcThresholdBlocks() + 2;
-    // Size the cold range once: a channel pads at most
-    // pagesPerChannel() pages, each cfg_.channels LPNs past the last.
-    for (const Channel &ch : channels_) {
-        const std::uint64_t end = ch.coldLpnNext - kColdLpnBase
-                                  + (cfg_.pagesPerChannel() - 1)
-                                        * cfg_.channels
-                                  + 1;
-        if (end > coldMap_.size())
-            coldMap_.resize(end, kUnmapped);
-    }
-    for (auto &ch : channels_) {
-        std::vector<std::uint64_t> cold_pages;
+    for (Channel &ch : channels_) {
         while (ch.freeList.size() > target_free) {
-            const std::uint64_t cold = ch.coldLpnNext;
-            ch.coldLpnNext += cfg_.channels;
-            mapToOpenBlock(ch, cold);
-            cold_pages.push_back(cold);
-        }
-        for (std::uint64_t cold : cold_pages) {
-            if (rng_.chance(0.25))
-                invalidate(cold);
+            ensureOpenBlock(ch);
+            const std::uint32_t n =
+                ch.freeList.size() > target_free
+                    ? ppb - ch.blocks[ch.openBlock].writeCursor
+                    : 1;
+            const std::uint32_t first = claimSlots(ch, n);
+            Block &blk = ch.blocks[ch.openBlock];
+            for (std::uint32_t page = first; page < first + n; ++page) {
+                if (rng_.chance(0.25)) {
+                    ch.slotLpn[page] = kDeadSlot;
+                    blk.validCount--;
+                } else {
+                    ch.slotLpn[page] = kColdSlot;
+                }
+            }
         }
     }
 }

@@ -43,11 +43,11 @@ class Ftl
     Ftl(const FlashConfig &cfg, EventQueue &eq, std::uint64_t seed);
 
     /**
-     * Cold preconditioning data lives at and above this LPN. Host LPNs
-     * must stay below it: readPage, writePage, pageData and
-     * mutablePageData throw std::logic_error otherwise.
+     * Host LPNs must stay below this bound, where the page-slot
+     * sentinels start: readPage, writePage, pageData and mutablePageData
+     * throw std::logic_error otherwise.
      */
-    static constexpr std::uint64_t kColdLpnBase = 1ULL << 40;
+    static constexpr std::uint64_t kHostLpnLimit = 0xFFFF'FFFEULL;
 
     /**
      * Read logical page @p lpn at time @p when; @p cb fires with the
@@ -77,8 +77,8 @@ class Ftl
     /**
      * Fill the device so GC will trigger (§VI-A): maps @p footprint_pages
      * host LPNs, re-writes @p rewrite_fraction of them to create dead
-     * pages, and pads remaining blocks with cold data until each
-     * channel's free-block count sits just above the GC threshold.
+     * pages, and pads remaining blocks with anonymous cold data until
+     * each channel's free-block count sits just above the GC threshold.
      */
     void precondition(std::uint64_t footprint_pages,
                       double rewrite_fraction = 0.3);
@@ -147,17 +147,24 @@ class Ftl
         std::unique_ptr<FlashChannel> flash;
         std::vector<Block> blocks;
         /**
-         * LPN stored in each page slot (block b's slot s at
-         * b * pagesPerBlock + s); kInvalidLpn when dead/empty.
+         * Host LPN stored in each page slot (block b's slot s at
+         * b * pagesPerBlock + s), kColdSlot for a cold page, kDeadSlot
+         * when dead/empty.
          */
-        std::vector<std::uint64_t> slotLpn;
+        std::vector<std::uint32_t> slotLpn;
         std::vector<std::uint32_t> freeList;
         std::uint32_t openBlock = 0;
         bool gcRunning = false;
-        std::uint64_t coldLpnNext = 0;
     };
 
-    static constexpr std::uint64_t kInvalidLpn = ~0ULL;
+    /**
+     * Slot of a valid cold preconditioning page. Cold pages are
+     * anonymous: they have no LPN and no mapping entry, and GC moves
+     * them by slot.
+     */
+    static constexpr std::uint32_t kColdSlot = kHostLpnLimit;
+    /** Slot of a dead or never-written page. */
+    static constexpr std::uint32_t kDeadSlot = ~0U;
     /** Mapping entry of an unmapped LPN. */
     static constexpr std::uint32_t kUnmapped = ~0U;
 
@@ -166,8 +173,18 @@ class Ftl
         return static_cast<std::uint32_t>(lpn % cfg_.channels);
     }
 
-    /** Map/remap @p lpn to a fresh page on its channel (no timing). */
-    void mapToOpenBlock(Channel &ch, std::uint64_t lpn);
+    /**
+     * Map/remap @p slot (a host LPN or kColdSlot) to a fresh page on
+     * @p ch (no timing).
+     */
+    void mapToOpenBlock(Channel &ch, std::uint32_t slot);
+
+    /**
+     * Claim the next @p n slots of @p ch's open block, which must have
+     * room for them, as valid pages; returns the first one's
+     * channel-local page index. The caller fills the slots.
+     */
+    std::uint32_t claimSlots(Channel &ch, std::uint32_t n);
 
     /**
      * @p lpn's mapping entry. A host LPN past hostMap_ grows it (LPNs
@@ -175,7 +192,7 @@ class Ftl
      */
     std::uint32_t &mappingEntry(std::uint64_t lpn);
 
-    /** Invalidate @p lpn's current mapping if any. */
+    /** Invalidate host LPN @p lpn's current mapping if any. */
     void invalidate(std::uint64_t lpn);
 
     /** Ensure the channel has an open block with space. */
@@ -194,14 +211,11 @@ class Ftl
     Rng rng_;
     std::vector<Channel> channels_;
     /**
-     * lpn -> channel-local page index (block * pagesPerBlock + slot;
-     * the channel is implied by the lpn), kUnmapped when unmapped. Host
-     * LPNs index hostMap_ directly; cold LPNs index coldMap_ at
-     * lpn - kColdLpnBase, which is dense because each channel hands
-     * them out in kColdLpnBase + c + k * channels order.
+     * Host LPN -> channel-local page index (block * pagesPerBlock +
+     * slot; the channel is implied by the lpn), kUnmapped when
+     * unmapped.
      */
     std::vector<std::uint32_t> hostMap_;
-    std::vector<std::uint32_t> coldMap_;
     /**
      * Functional page store, indexed by host LPN; null for a page that
      * never held a nonzero line. Pages live on the heap so the

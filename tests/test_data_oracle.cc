@@ -1,10 +1,11 @@
 /**
  * @file
  * The memory-side data oracle (`check_data=1`): its rules on hand-made
- * read/write sequences, every fig14 variant on every paper app, and
- * every point of the co-located `qos` sweep run with it on, where each
- * load must pass and the result must equal the unchecked run's byte
- * for byte.
+ * read/write sequences, every fig14 variant on every paper app, a
+ * write-heavy spec that drives flash GC and write-log compaction, reads
+ * of lines copied mid-promotion, and every point of the co-located
+ * `qos` sweep run with it on, where each load must pass and the result
+ * must equal the unchecked run's byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -84,6 +85,39 @@ TEST(DataOracle, ConfigKeyDefaultsOff)
                  std::invalid_argument);
 }
 
+/** What a run with the oracle on saw. */
+struct CheckedRun
+{
+    SimResult result;
+    std::uint64_t checkedReads = 0;
+    std::uint64_t nonzeroReads = 0;
+};
+
+/**
+ * Run @p workload on @p cfg with the oracle on, which throws on a bad
+ * load, and expect the result to equal the unchecked run's byte for
+ * byte.
+ */
+CheckedRun
+runChecked(SimConfig cfg, const std::string &workload,
+           const WorkloadParams &params)
+{
+    cfg.checkData = false;
+    const std::string plain = toJson(runSimulation(cfg, workload, params));
+    cfg.checkData = true;
+    System sys(cfg, workload, params);
+    CheckedRun run;
+    run.result = sys.run();
+    EXPECT_EQ(toJson(run.result), plain);
+    const DataOracle *oracle = sys.dataOracle();
+    EXPECT_NE(oracle, nullptr);
+    if (oracle != nullptr) {
+        run.checkedReads = oracle->checkedReads();
+        run.nonzeroReads = oracle->nonzeroReads();
+    }
+    return run;
+}
+
 /** Each fig14 variant on every paper app at 20k instructions/thread. */
 class DataOracleSystem : public ::testing::TestWithParam<std::string>
 {};
@@ -98,19 +132,9 @@ TEST_P(DataOracleSystem, EveryLoadChecksAndResultsAreUnchanged)
         SCOPED_TRACE(app);
         SimConfig cfg = makeBenchConfig(GetParam());
         cfg.seed = opt.seed;
-        const WorkloadParams params = makeParams(cfg, opt);
-
-        const std::string plain = toJson(runSimulation(cfg, app, params));
-        cfg.checkData = true;
-        System sys(cfg, app, params);
-        SimResult checked;
-        ASSERT_NO_THROW(checked = sys.run());
-        EXPECT_EQ(toJson(checked), plain);
-
-        const DataOracle *oracle = sys.dataOracle();
-        ASSERT_NE(oracle, nullptr);
-        EXPECT_GT(oracle->checkedReads(), 0u);
-        nonzero += oracle->nonzeroReads();
+        const CheckedRun run = runChecked(cfg, app, makeParams(cfg, opt));
+        EXPECT_GT(run.checkedReads, 0u);
+        nonzero += run.nonzeroReads;
     }
     // Stores reach memory and are read back (bfs-dense does at this
     // trace length), so the check is not vacuous.
@@ -127,6 +151,54 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+/**
+ * A small, write-heavy spec whose writes reach flash: 90% stores over
+ * 32 MB with 1 MB of host DRAM for promotions. GC relocates written
+ * pages on both points and SkyByte-Full also compacts its write log,
+ * so both paths carry nonzero values past the oracle.
+ */
+TEST(DataOracleSystem, GcAndCompactionCarryWrittenData)
+{
+    ExperimentOptions opt;
+    opt.instrPerThread = 200'000;
+    opt.footprintBytes = 32ULL << 20;
+    opt.seed = 1;
+    for (const std::string variant : {"Base-CSSD", "SkyByte-Full"}) {
+        SCOPED_TRACE(variant);
+        SimConfig cfg = makeBenchConfig(variant);
+        cfg.seed = opt.seed;
+        cfg.hostMem.promotedBytesMax = 1ULL << 20;
+        const CheckedRun run = runChecked(cfg, "uniform:write_ratio=0.9",
+                                          makeParams(cfg, opt));
+        EXPECT_GT(run.result.flashGcPrograms, 0u);
+        if (variant == "SkyByte-Full") {
+            EXPECT_GT(run.result.compactions, 0u);
+        }
+        EXPECT_GT(run.nonzeroReads, 0u);
+    }
+}
+
+/**
+ * Promotion without the write log on 8 MB of 90% stores: many reads
+ * land on a region while it copies to the host, after a write of an
+ * already-copied line went only to the host copy. Such a read is timed
+ * as the SSD read it is but must carry the host copy's value; it used
+ * to return the SSD's stale one.
+ */
+TEST(DataOracleSystem, ReadsDuringPromotionSeeRedirectedWrites)
+{
+    ExperimentOptions opt;
+    opt.instrPerThread = 300'000;
+    opt.footprintBytes = 8ULL << 20;
+    opt.seed = 1;
+    SimConfig cfg = makeBenchConfig("SkyByte-P");
+    cfg.seed = opt.seed;
+    const CheckedRun run = runChecked(cfg, "uniform:write_ratio=0.9",
+                                      makeParams(cfg, opt));
+    EXPECT_GT(run.result.promotions, 0u);
+    EXPECT_GT(run.nonzeroReads, 0u);
+}
 
 TEST(DataOracleSystem, QosSweepPointsCheckAndResultsAreUnchanged)
 {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -249,6 +250,147 @@ TEST(Ftl, SeededGcRunMatchesGoldenState)
     }
 }
 
+/** What PreconditionMatchesGoldenState pins for one configuration. */
+struct PreconditionGolden
+{
+    bool wearAware;
+    double rewriteFraction;
+    std::array<std::uint32_t, 4> freeBlocks; ///< per channel, after
+    std::uint64_t preconditionUpdates;       ///< mappingUpdates, after
+    // A seeded GC run that follows.
+    std::uint64_t hostReads, hostPrograms, gcPageMoves, gcErases, gcRuns,
+        mappingUpdates;
+    std::array<std::uint32_t, 4> finalFreeBlocks;
+    std::uint32_t minErase, maxErase;
+    double meanErase;
+    Tick end;
+};
+
+/**
+ * Golden state of preconditioning on an awkward geometry: a footprint
+ * that is not a multiple of the 4 channels and leaves each channel's
+ * open block part-full, wear-aware allocation off and on, and rewrite
+ * fractions 0, 0.3 and 1.0. Pins the free blocks of every channel and
+ * the mapping updates after precondition, then the stats, free blocks,
+ * wear and end tick of a seeded GC run that follows, so any change to
+ * block order, cold padding or the RNG draws shows up here. The values
+ * were recorded from the page-at-a-time precondition that gave every
+ * cold page its own LPN (which was right only for power-of-two channel
+ * counts; see ColdPaddingIsReclaimableOnAnyChannelCount).
+ */
+TEST(Ftl, PreconditionMatchesGoldenState)
+{
+    const PreconditionGolden goldens[] = {
+        {false, 0.0, {6, 6, 6, 6}, 1092,
+         769, 1731, 1555, 199, 44, 4390, {6, 4, 5, 4},
+         0, 7, 2.0729166666666665, 4028768425},
+        {false, 0.3, {6, 6, 6, 6}, 1092,
+         769, 1731, 930, 159, 43, 3765, {4, 4, 4, 6},
+         0, 5, 1.65625, 3156937550},
+        {false, 1.0, {6, 6, 6, 6}, 1092,
+         769, 1731, 326, 123, 41, 3161, {4, 6, 5, 5},
+         0, 4, 1.28125, 2415365025},
+        {true, 0.0, {6, 6, 6, 6}, 1092,
+         769, 1731, 1629, 205, 46, 4464, {5, 6, 4, 5},
+         0, 5, 2.1354166666666665, 4105972825},
+        {true, 0.3, {6, 6, 6, 6}, 1092,
+         769, 1731, 948, 161, 43, 3783, {5, 4, 4, 6},
+         0, 4, 1.6770833333333333, 3291285250},
+        {true, 1.0, {6, 6, 6, 6}, 1092,
+         769, 1731, 342, 126, 42, 3177, {6, 6, 5, 5},
+         0, 3, 1.3125, 2418960350},
+    };
+    for (const PreconditionGolden &g : goldens) {
+        SCOPED_TRACE("wearAware " + std::to_string(g.wearAware)
+                     + " rewriteFraction "
+                     + std::to_string(g.rewriteFraction));
+        FlashConfig cfg = tinyFlash();
+        cfg.channels = 4;
+        cfg.blocksPerPlane = 6; // 24 blocks/channel
+        cfg.pagesPerBlock = 16; // 384 pages/channel
+        cfg.wearAwareAllocation = g.wearAware;
+        EventQueue eq;
+        Ftl ftl(cfg, eq, 11);
+        ftl.precondition(270, g.rewriteFraction); // 68, 68, 67, 67 pages
+        for (std::uint32_t c = 0; c < cfg.channels; ++c)
+            EXPECT_EQ(ftl.freeBlocks(c), g.freeBlocks[c])
+                << "channel " << c;
+        EXPECT_EQ(ftl.stats().mappingUpdates, g.preconditionUpdates);
+
+        Rng rng(5);
+        for (std::uint64_t i = 0; i < 2500; ++i) {
+            const std::uint64_t lpn = rng.below(310);
+            if (rng.chance(0.7)) {
+                PageData data{};
+                data[lpn % kLinesPerPage] = i + 1;
+                ftl.writePage(lpn, eq.now(), data, nullptr);
+            } else {
+                ftl.readPage(lpn, eq.now(), nullptr);
+            }
+            if (i % 8 == 7)
+                eq.run();
+        }
+        eq.run();
+        const FtlStats &s = ftl.stats();
+        const Ftl::WearSummary wear = ftl.wearSummary();
+        EXPECT_EQ(s.hostReads, g.hostReads);
+        EXPECT_EQ(s.hostPrograms, g.hostPrograms);
+        EXPECT_EQ(s.gcPageMoves, g.gcPageMoves);
+        EXPECT_EQ(s.gcErases, g.gcErases);
+        EXPECT_EQ(s.gcRuns, g.gcRuns);
+        EXPECT_EQ(s.mappingUpdates, g.mappingUpdates);
+        for (std::uint32_t c = 0; c < cfg.channels; ++c) {
+            EXPECT_EQ(ftl.freeBlocks(c), g.finalFreeBlocks[c])
+                << "channel " << c;
+        }
+        EXPECT_EQ(wear.minErase, g.minErase);
+        EXPECT_EQ(wear.maxErase, g.maxErase);
+        EXPECT_DOUBLE_EQ(wear.meanErase, g.meanErase);
+        EXPECT_EQ(eq.now(), g.end);
+    }
+}
+
+/**
+ * A quarter of the cold padding is dead, so once host writes of fresh
+ * pages push a channel below the GC threshold, GC finds victims with
+ * space to reclaim even with no host page rewritten. Cold pages that
+ * carried their own LPN were invalidated on the wrong channel (and so
+ * not at all) whenever 2^40 was not a multiple of the channel count.
+ */
+TEST(Ftl, ColdPaddingIsReclaimableOnAnyChannelCount)
+{
+    for (const std::uint32_t channels : {2u, 3u, 5u, 6u}) {
+        SCOPED_TRACE("channels " + std::to_string(channels));
+        FlashConfig cfg = tinyFlash();
+        cfg.channels = channels;
+        cfg.pagesPerBlock = 16;
+        EventQueue eq;
+        Ftl ftl(cfg, eq, 3);
+        ftl.precondition(20 * channels, 0.0);
+        PageData data{};
+        for (std::uint64_t lpn = 20 * channels; lpn < 80 * channels; ++lpn)
+            ftl.writePage(lpn, eq.now(), data, nullptr);
+        eq.run();
+        EXPECT_GT(ftl.stats().gcErases, 0u);
+        EXPECT_GT(ftl.stats().gcPageMoves, 0u);
+    }
+}
+
+TEST(Ftl, FootprintLargerThanTheDeviceThrows)
+{
+    EventQueue eq;
+    FlashConfig cfg = tinyFlash();
+    Ftl ftl(cfg, eq, 1);
+    try {
+        ftl.precondition(cfg.totalPages() + 1);
+        FAIL() << "a footprint past the device did not throw";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("flash channel 0"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Ftl, PagesFarPastTheFootprint)
 {
     EventQueue eq;
@@ -280,19 +422,25 @@ TEST(Ftl, PagesFarPastTheFootprint)
     EXPECT_EQ(ftl.peekLine(3 * kCachelineBytes), 77u);
 }
 
-TEST(Ftl, HostLpnInColdRangeThrows)
+TEST(Ftl, HostLpnPastTheLimitThrows)
 {
     EventQueue eq;
     Ftl ftl(tinyFlash(), eq, 1);
     ftl.precondition(16);
     PageData data{};
-    EXPECT_THROW(ftl.writePage(Ftl::kColdLpnBase, 0, data, nullptr),
-                 std::logic_error);
-    EXPECT_THROW(ftl.readPage(Ftl::kColdLpnBase + 1, 0, nullptr),
-                 std::logic_error);
-    EXPECT_THROW(ftl.pageData(Ftl::kColdLpnBase), std::logic_error);
-    EXPECT_THROW(ftl.mutablePageData(Ftl::kColdLpnBase),
-                 std::logic_error);
+    // At the limit (where the page-slot sentinels start) and at 2^40,
+    // the start of the numbered cold range this limit replaced.
+    for (const std::uint64_t lpn :
+         {Ftl::kHostLpnLimit, std::uint64_t{1} << 40}) {
+        SCOPED_TRACE("lpn " + std::to_string(lpn));
+        EXPECT_THROW(ftl.writePage(lpn, 0, data, nullptr),
+                     std::logic_error);
+        EXPECT_THROW(ftl.readPage(lpn, 0, nullptr), std::logic_error);
+        EXPECT_THROW(ftl.pageData(lpn), std::logic_error);
+        EXPECT_THROW(ftl.mutablePageData(lpn), std::logic_error);
+    }
+    EXPECT_EQ(ftl.stats().hostPrograms, 0u);
+    EXPECT_EQ(ftl.stats().hostReads, 0u);
 }
 
 TEST(Ftl, ReadsOfUnwrittenPagesAllocateNothing)

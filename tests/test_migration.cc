@@ -237,6 +237,12 @@ TEST(Migration, InflightWritesRoutePerPlbBit)
     // and the later copy of that line will pick it up.
     EXPECT_EQ(fx.engine.route(3, kLinesPerPage - 1, fx.eq.now(), true),
               PageHome::Ssd);
+    // Reads stay on the SSD, but a copied line's value is the host
+    // copy's: the redirected write above reached only that copy.
+    EXPECT_EQ(fx.engine.route(3, 0, fx.eq.now(), false),
+              PageHome::SsdWithHostValue);
+    EXPECT_EQ(fx.engine.route(3, kLinesPerPage - 1, fx.eq.now(), false),
+              PageHome::Ssd);
 }
 
 TEST(Migration, InflightSsdWriteReachesHostCopy)
@@ -461,6 +467,36 @@ TEST(Migration, TenantShareCapsPromotions)
     EXPECT_EQ(fx.engine.tenantPromotedBytes(1), 2 * kPageBytes);
     EXPECT_FALSE(fx.engine.onHotPage(6, fx.eq.now()));
     EXPECT_EQ(fx.engine.stats().rejectedTenantShare, 2u);
+}
+
+TEST(Migration, TenantAtShareDemotesItsOwnIdleRegion)
+{
+    // Tenant 0 (pages [0,4)) holds one region, its whole share; tenant
+    // 1 (pages [4,8)) holds an older one. Once tenant 0's region is
+    // idle, its next promotion replaces it and leaves tenant 1 alone.
+    const TenantMap tenants({0, 4 * kPageBytes}, 8 * kPageBytes, {},
+                            {1.0, 1.0});
+    MigFixture fx(migConfig(MigrationMechanism::SkyByte, 128));
+    fx.engine.setTenantShares(tenants, {kPageBytes, 4 * kPageBytes});
+    for (std::uint64_t lpn : {0, 1, 2, 4})
+        fx.cachePage(lpn);
+    ASSERT_TRUE(fx.engine.onHotPage(4, 0));
+    fx.eq.run();
+    ASSERT_TRUE(fx.engine.onHotPage(0, fx.eq.now()));
+    fx.eq.run();
+    // Region 0 was just used: no idle region of tenant 0 to give up.
+    EXPECT_FALSE(fx.engine.onHotPage(1, fx.eq.now()));
+    EXPECT_EQ(fx.engine.stats().rejectedTenantShare, 1u);
+    const Tick later = fx.eq.now() + usToTicks(5'000.0);
+    ASSERT_TRUE(fx.engine.onHotPage(2, later));
+    fx.eq.run();
+    EXPECT_EQ(fx.engine.stats().demotions, 1u);
+    EXPECT_FALSE(fx.engine.isPromoted(0));
+    EXPECT_TRUE(fx.engine.isPromoted(2));
+    EXPECT_TRUE(fx.engine.isPromoted(4));
+    EXPECT_EQ(fx.engine.tenantPromotedBytes(0), kPageBytes);
+    EXPECT_EQ(fx.engine.tenantPromotedBytes(1), kPageBytes);
+    EXPECT_EQ(fx.engine.stats().rejectedTenantShare, 1u);
 }
 
 TEST(Migration, DemotionReleasesTenantShare)

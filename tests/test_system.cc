@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/config_file.h"
 #include "sim/experiment.h"
 #include "sim/system.h"
 
@@ -261,6 +262,26 @@ TEST(SystemTenants, WeightedAdmissionDelaysAreAccountedPerTenant)
     EXPECT_GT(delay_us, 0.0);
     EXPECT_GT(res.fairnessIpc(), 0.0);
     EXPECT_LE(res.fairnessIpc(), 1.0);
+}
+
+TEST(SystemTenants, MigrationSharesKeepPromotedSetsMoving)
+{
+    // Two zipf tenants whose hot sets outgrow 1 MB of host DRAM. Once a
+    // tenant fills its share it must demote its own cold regions to
+    // promote new ones instead of freezing its promoted set.
+    ExperimentSpec spec;
+    for (const char *line :
+         {"workload=mix:a=zipf:footprint=16M;b=zipf:footprint=16M",
+          "instr_per_thread=200000", "host_dram_size_byte=1048576",
+          "promotion_enable=true", "migration_mechanism=skybyte",
+          "qos_migration_share=true"}) {
+        applyAssignment(line, spec);
+    }
+    System sys(spec.config, spec.workload, spec.params);
+    const SimResult res = sys.run(kLimit);
+    ASSERT_FALSE(res.timedOut);
+    EXPECT_GT(res.demotions, 0u);
+    EXPECT_GT(res.promotions, 256u); // 1 MB of 4 KB regions
 }
 
 TEST(SystemDeterminism, SameSeedSameResult)
