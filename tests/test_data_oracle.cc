@@ -156,7 +156,9 @@ INSTANTIATE_TEST_SUITE_P(
  * A small, write-heavy spec whose writes reach flash: 90% stores over
  * 32 MB with 1 MB of host DRAM for promotions. GC relocates written
  * pages on both points and SkyByte-Full also compacts its write log,
- * so both paths carry nonzero values past the oracle.
+ * so both paths carry nonzero values past the oracle. At 300k
+ * instructions Base-CSSD runs out of free flash blocks on this spec:
+ * host programs are not yet held back for GC.
  */
 TEST(DataOracleSystem, GcAndCompactionCarryWrittenData)
 {
